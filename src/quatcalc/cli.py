@@ -7,13 +7,15 @@ along (I, J, K, L), and matrices are row-major nested arrays.  Outputs echo
 the parsed inputs, so a run is reproducible from its own output; identical
 inputs produce identical output bytes.
 
-Exit codes: 0 success, 1 parse error, 2 domain/geometry/contract error,
-3 accuracy error.
+Exit codes: 0 success, 1 parse error, 2 domain/geometry/contract error or
+a non-finite result, 3 accuracy error (including a quadrature that stalls
+before its tolerance).  Nothing is written to the output on a nonzero exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -86,6 +88,10 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # encoding / decoding
+
+
+def _reject_constant(token):
+    raise ParseError(f"{token} is not a JSON number")
 
 
 def _c_out(z):
@@ -218,6 +224,16 @@ def _quadrature_config(args):
     return QuadratureConfig(nodes_per_circle=args.nodes, rel_tol=args.tol)
 
 
+def _quadrature_diagnostics(diag):
+    """Output record of a converged quadrature; a stall raises AccuracyError."""
+    if not diag.converged:
+        raise AccuracyError(
+            f"quadrature stalled at {diag.nodes_per_circle} nodes/circle "
+            f"(last change {diag.est_error:.3e})"
+        )
+    return dataclasses.asdict(diag)
+
+
 def _default_domain_for(q):
     return SymmetricDomain.disk(0.0, max(2.0, 4.0 * q.norm() + 1.0))
 
@@ -252,6 +268,8 @@ def _eval_common(doc, args, order):
         for _ in range(order):
             G = G.derivative()
         value = eval_spectral(G, q)
+        if not np.all(np.isfinite(value)):
+            raise NumericError("spectral value is not finite")
         diagnostics = {}
     else:
         sp = spectrum(q)
@@ -260,11 +278,7 @@ def _eval_common(doc, args, order):
         value, diag = cauchy_derivative(
             F, order, q, gamma, _quadrature_config(args), return_diagnostics=True
         )
-        diagnostics = {
-            "converged": diag.converged,
-            "est_error": diag.est_error,
-            "nodes_per_circle": diag.nodes_per_circle,
-        }
+        diagnostics = _quadrature_diagnostics(diag)
         if args.emit_samples:
             result["samples"] = {
                 "circles": [
@@ -365,12 +379,7 @@ def _run_op_calc(doc, args):
         F, T, cfg=_quadrature_config(args), return_diagnostics=True
     )
     return {
-        "diagnostics": {
-            "converged": diag.converged,
-            "est_error": diag.est_error,
-            "flat_defect": flat_defect,
-            "nodes_per_circle": diag.nodes_per_circle,
-        },
+        "diagnostics": dict(_quadrature_diagnostics(diag), flat_defect=flat_defect),
         "value": _mat_out(value),
     }
 
@@ -469,7 +478,7 @@ def run(argv):
                 text = fh.read()
         else:
             text = sys.stdin.read()
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
         if not isinstance(doc, dict):
             raise ParseError("top-level document must be an object")
     except (OSError, json.JSONDecodeError, ParseError) as exc:
@@ -490,7 +499,11 @@ def run(argv):
         return 3
 
     out_doc = {"command": args.command, "inputs": doc, "result": result}
-    payload = json.dumps(out_doc, indent=2, sort_keys=True) + "\n"
+    try:
+        payload = json.dumps(out_doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        print(f"domain error: non-finite number in the output ({exc})", file=sys.stderr)
+        return 2
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)

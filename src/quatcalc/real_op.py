@@ -12,23 +12,18 @@ flat-invariance check.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contour_calc import (
     Contour,
-    QuadratureConfig,
-    QuadratureDiagnostics,
+    _check_enclosed,
+    _trapezoid_doubling,
     enclosing_circles,
-    kahan_sum,
 )
 from .errors import (
-    AccuracyWarning,
     ContractViolationError,
-    GeometryError,
     InvalidArgumentError,
     NumericError,
 )
@@ -281,68 +276,33 @@ def operator_contour(T, clearance=None):
     return Contour(tuple(circles), conjugate_symmetric=True)
 
 
-def _operator_total(F, T_c, circles, nodes):
-    n = T_c.shape[0]
-    eye = np.eye(n, dtype=complex)
-    acc = np.zeros((n, n), dtype=complex)
-    for c in circles:
-        theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        unit = np.exp(1j * theta)
-        z = c.center + c.radius * unit
-        vals = F(z)
-        shifted = z[:, None, None] * eye - T_c
-        # F(z) (z - T)^-1 via a transposed batched solve
-        prod = np.swapaxes(
-            np.linalg.solve(np.swapaxes(shifted, -1, -2), np.swapaxes(vals, -1, -2)),
-            -1,
-            -2,
-        )
-        integrand = prod * ((c.radius / nodes) * unit)[:, None, None]
-        acc = acc + kahan_sum(integrand)
-    return acc
-
-
 def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False, flat_tol=1e-8):
     """Analytic calculus ``F(T)`` for a flat-symmetric operator function.
 
     Integrates ``F(z)(z - T_C)^-1`` over real-centered circles around the
     spectrum with node doubling, checks flat invariance of the value to
-    ``flat_tol`` times its scale, and returns the real restriction.
+    ``flat_tol`` times its scale, and returns the real restriction.  A
+    non-finite quadrature total raises NumericError.
     """
     T = as_real_operator(T)
     n = T.shape[0]
     if F.dim != n:
         raise InvalidArgumentError("operator function dimension mismatch")
-    cfg = cfg if cfg is not None else QuadratureConfig()
     gamma = contour if contour is not None else operator_contour(T)
-    report = complex_spectrum(T)
-    for v in report.eigenvalues:
-        if max(c.radius - abs(complex(v) - c.center) for c in gamma.circles) <= 0.0:
-            raise GeometryError(f"eigenvalue {v} is not strictly inside the contour")
+    _check_enclosed(complex_spectrum(T).eigenvalues, gamma.circles)
     if isinstance(F, OpaqueOperatorFunction):
         _spot_check_flat_symmetry(F, gamma.circles)
 
-    T_c = T.astype(complex)
-    nodes = cfg.nodes_per_circle
-    prev = _operator_total(F, T_c, gamma.circles, nodes)
-    diff = math.inf
-    converged = False
-    while nodes * 2 <= cfg.max_nodes:
-        nodes *= 2
-        cur = _operator_total(F, T_c, gamma.circles, nodes)
-        diff = float(np.linalg.norm(cur - prev))
-        prev = cur
-        if diff <= cfg.rel_tol * max(1.0, float(np.linalg.norm(cur))):
-            converged = True
-            break
-    if not converged:
-        warnings.warn(
-            f"operator quadrature stalled at {nodes} nodes/circle (last change {diff:.3e})",
-            AccuracyWarning,
-            stacklevel=2,
+    def integrand(z):
+        shifted = z[:, None, None] * np.eye(n) - T
+        # F(z) (z - T)^-1 via a transposed batched solve
+        return np.swapaxes(
+            np.linalg.solve(np.swapaxes(shifted, -1, -2), np.swapaxes(F(z), -1, -2)),
+            -1,
+            -2,
         )
 
-    value = prev
+    value, diag = _trapezoid_doubling(integrand, gamma.circles, cfg)
     scale = max(1.0, float(np.linalg.norm(value)))
     flat_defect = float(np.linalg.norm(value - flat(value)))
     if flat_defect > flat_tol * scale:
@@ -352,7 +312,7 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False, flat_tol
         )
     result = value.real.copy()
     if return_diagnostics:
-        return result, QuadratureDiagnostics(nodes, diff, converged), flat_defect
+        return result, diag, flat_defect
     return result
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from quatcalc import cli
+from quatcalc import AccuracyWarning, cli
 
 
 def run_cli(capsys, command, doc, *flags):
@@ -218,12 +218,14 @@ def test_parse_error_exit_code(capsys):
     import sys
 
     stdin = sys.stdin
-    sys.stdin = io.StringIO("{not json")
-    try:
-        code = cli.run(["spectrum"])
-    finally:
-        sys.stdin = stdin
-    assert code == 1
+    for text in ("{not json", '{"quaternion": [0, 1, 0, 0], "note": NaN}'):
+        sys.stdin = io.StringIO(text)
+        try:
+            code = cli.run(["spectrum"])
+        finally:
+            sys.stdin = stdin
+        assert code == 1
+        assert capsys.readouterr().out == ""
 
     code, _ = run_cli(capsys, "spectrum", {"quaternion": [0, 1, 0]})
     assert code == 1
@@ -274,3 +276,43 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert as_complex(doc["result"]["s_plus"]) == 2j
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("op-calc", {"matrix": [[1e300, 0.0], [0.0, 1.0]],
+                     "function": {"kind": "op-scalar", "f": {"kind": "exp"}}}),
+        ("eval", {"function": {"kind": "scalar", "f": {"kind": "exp"}},
+                  "quaternion": [1e200, 0, 0, 0], "method": "spectral"}),
+    ],
+)
+def test_non_finite_value_exits_2(capsys, command, doc):
+    code, out = run_cli(capsys, command, doc)
+    assert code == 2
+    assert out == ""
+
+
+EXP_STALL = {"function": {"kind": "scalar", "f": {"kind": "exp"}}, "quaternion": [0.5, 12, 0, 0]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags",
+    [
+        # one merged circle of radius 24.25 around 0.5 +/- 12i carries exp up
+        # to more than 1e10 times the value: 1e-10 is out of reach in doubles
+        ("eval", EXP_STALL, ("--margin", "12.25")),
+        ("deriv", dict(EXP_STALL, order=1), ("--margin", "12.25")),
+        (
+            "op-calc",
+            {"matrix": [[1.0, 2.0], [-2.0, 1.0]],
+             "function": {"kind": "op-scalar", "f": {"kind": "exp"}}},
+            ("--tol", "1e-30", "--nodes", "16"),
+        ),
+    ],
+)
+def test_quadrature_stall_exits_3(capsys, command, doc, flags):
+    with pytest.warns(AccuracyWarning):
+        code, out = run_cli(capsys, command, doc, *flags)
+    assert code == 3
+    assert out == ""

@@ -183,6 +183,113 @@ def test_non_convergence_warns():
 
 
 # ---------------------------------------------------------------------------
+# quadrature driver
+
+
+class CountingStem(qc.ScalarStem):
+    """Scalar stem that counts the points it is evaluated at."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.points = 0
+
+    def __call__(self, z):
+        self.points += np.size(z)
+        return super().__call__(z)
+
+
+def test_doubling_evaluates_each_node_once():
+    F = CountingStem(qc.Exp())
+    gamma = contour_for(J)
+    _, diag = qc.cauchy_transform(F, J, gamma, qc.QuadratureConfig(), return_diagnostics=True)
+    assert diag.converged and diag.nodes_per_circle == 2048
+    assert F.points == 2048 * len(gamma.circles)
+
+
+def _kahan_sum(values):
+    total = np.zeros(values.shape[1:], dtype=values.dtype)
+    comp = np.zeros_like(total)
+    for v in values:
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def _recomputing_cauchy_transform(F, q, gamma, cfg):
+    """Reference doubling loop that evaluates every node afresh at each level
+    and sums them with a sequential Kahan loop."""
+    sp = qc.spectrum(q)
+    e_plus, e_minus = qc.spectral_projections(q)
+
+    def total(nodes):
+        acc = np.zeros((2, 2), dtype=complex)
+        for c in gamma.circles:
+            unit = np.exp(1j * 2.0 * np.pi * np.arange(nodes) / nodes)
+            z = c.center + c.radius * unit
+            resolvent = (
+                (1.0 / (z - sp.s_plus))[:, None, None] * e_plus
+                + (1.0 / (z - sp.s_minus))[:, None, None] * e_minus
+            )
+            acc = acc + _kahan_sum((F(z) @ resolvent) * ((c.radius / nodes) * unit)[:, None, None])
+        return acc
+
+    nodes = cfg.nodes_per_circle
+    prev = total(nodes)
+    while nodes * 2 <= cfg.max_nodes:
+        nodes *= 2
+        cur = total(nodes)
+        diff = np.linalg.norm(cur - prev)
+        prev = cur
+        if diff <= cfg.rel_tol * max(1.0, np.linalg.norm(cur)):
+            break
+    return prev, nodes
+
+
+def test_two_circle_value_matches_recomputing_driver(rng):
+    q = qc.make_quaternion(0.3, 1.5, 0.2, 0.0)
+    gamma = contour_for(q)
+    assert len(gamma.circles) == 2
+    cfg = qc.QuadratureConfig()
+    for F in (qc.ScalarStem(qc.Exp()), qc.ScalarStem(qc.Sin()), random_hpoly(rng, 5)):
+        want, want_nodes = _recomputing_cauchy_transform(F, q, gamma, cfg)
+        got, diag = qc.cauchy_transform(F, q, gamma, cfg, return_diagnostics=True)
+        assert diag.nodes_per_circle == want_nodes
+        assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+
+
+def _ill_conditioned_parts(rng, n):
+    big = rng.standard_normal(n // 2) * 10.0 ** rng.uniform(0.0, 12.0, n // 2)
+    parts = np.concatenate((big, -big)) + rng.standard_normal(n)
+    return rng.permutation(parts)
+
+
+@pytest.mark.parametrize("k", [4, 9, 13])
+def test_compensated_sum_matches_fsum(rng, k):
+    from quatcalc.contour_calc import _compensated_sum
+
+    n = 2**k
+    values = np.empty((n, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            values[:, i, j] = _ill_conditioned_parts(rng, n) + 1j * _ill_conditioned_parts(rng, n)
+    got = _compensated_sum(values)
+    eps = np.finfo(float).eps
+    for i in range(2):
+        for j in range(2):
+            for part in (np.real, np.imag):
+                p = part(values[:, i, j])
+                exact = math.fsum(p)
+                abs_sum = math.fsum(np.abs(p))
+                assert abs_sum >= 1e6 * abs(exact)
+                # the bound of a sequential Kahan sum ...
+                assert abs(part(got[i, j]) - exact) <= 2.0 * eps * abs_sum
+                # ... and of a sum in twice the working precision
+                assert abs(part(got[i, j]) - exact) <= eps * abs(exact) + (n * eps) ** 2 * abs_sum
+
+
+# ---------------------------------------------------------------------------
 # derivatives
 
 
