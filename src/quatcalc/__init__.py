@@ -33,7 +33,6 @@ from .quat_core import (
     left_mult_matrix,
     make_quaternion,
     mat_norm,
-    quat_mul,
     quaternions_with_spectrum,
     random_unit_imaginary,
     skew_conjugate,
@@ -63,7 +62,6 @@ from .func_model import (
     eval_dist_to_quaternions,
     eval_spectral,
     hpoly_eval,
-    make_stem_pair,
     stem_scalar_mul,
     stem_split,
     verify_stem,
@@ -102,7 +100,6 @@ from .real_op import (
     complexify,
     discrete_mult_op,
     flat,
-    in_q_resolvent,
     op_calculus,
     operator_contour,
     q_block_pencil,

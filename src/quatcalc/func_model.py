@@ -276,10 +276,6 @@ class SymmetricDomain:
         z = complex(z)
         return max(r - abs(z - c) for c, r in self.disks)
 
-    def contains_spectrum(self, q):
-        sp = spectrum(q)
-        return self.contains(sp.s_plus) and self.contains(sp.s_minus)
-
     def __repr__(self):
         return f"SymmetricDomain({list(self.disks)!r})"
 
@@ -346,11 +342,6 @@ class PairStem(MatrixFunction):
 
     def derivative(self):
         return PairStem(self.f1.derivative(), self.f2.derivative(), domain=self.domain)
-
-
-def make_stem_pair(f1, f2, domain=None):
-    """Stem function determined by two free scalar functions."""
-    return PairStem(f1, f2, domain=domain)
 
 
 class QuaternionPolynomial(MatrixFunction):

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .func_model import AnalyticScalar
 from .quat_core import cvec_star
-from .real_op import as_real_operator, op_norm, smallest_singular_value
+from .real_op import as_real_operator, op_norm
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,19 @@ def pair_q_matrix(pair):
 
 
 def joint_pencil(pair, z):
-    """The real pencil ``L(z, T)`` whose invertibility defines the joint resolvent."""
-    z1, z2 = complex(z[0]), complex(z[1])
-    n = pair.dim
+    """The real pencil ``L(z, T)`` whose invertibility defines the joint resolvent.
+
+    Either coordinate of ``z = (z1, z2)`` may be an array; the pencils then
+    stack along the leading axes of their broadcast shape.
+    """
+    z1 = np.asarray(z[0], dtype=complex)[..., None, None]
+    z2 = np.asarray(z[1], dtype=complex)[..., None, None]
     return (
         pair.t1 @ pair.t1
         + pair.t2 @ pair.t2
         - (2.0 * z1.real) * pair.t1
         - (2.0 * z2.real) * pair.t2
-        + (abs(z1) ** 2 + abs(z2) ** 2) * np.eye(n)
+        + (np.abs(z1) ** 2 + np.abs(z2) ** 2) * np.eye(pair.dim)
     )
 
 
@@ -90,9 +94,11 @@ def joint_resolvent_margin(pair, z):
     """Normalized smallest singular value of the joint pencil at ``z``.
 
     Depends on ``z`` only through ``Re z1``, ``Re z2`` and ``|z1|^2 + |z2|^2``,
-    so it is invariant under conjugating either coordinate.
+    so it is invariant under conjugating either coordinate.  Array
+    coordinates give an array of margins; scalar ones give a float.
     """
-    return smallest_singular_value(joint_pencil(pair, z)) / _pair_scale(pair)
+    sv = np.linalg.svd(joint_pencil(pair, z), compute_uv=False)[..., -1] / _pair_scale(pair)
+    return float(sv) if sv.ndim == 0 else sv
 
 
 def joint_membership_margin(pair, z):
@@ -163,8 +169,9 @@ def joint_spectrum_points(pair, tol=1e-8, retries=8, seed=7):
         for p in sorted(points, key=lambda w: (w[0].real, w[0].imag, w[1].real, w[1].imag)):
             if not unique or abs(p[0] - unique[-1][0]) + abs(p[1] - unique[-1][1]) > 10 * tol * scale:
                 unique.append(p)
-        for p in unique:
-            if joint_resolvent_margin(pair, p) > tol:
+        margins = joint_resolvent_margin(pair, np.array(unique).T)
+        for p, m in zip(unique, margins):
+            if m > tol:
                 raise NumericError(f"candidate joint eigenvalue {p} misses the pencil zero set")
         return unique
     raise NumericError(f"could not separate joint eigenvalues: {last_err}")
@@ -253,20 +260,24 @@ class SphereGrid:
         return SphereGrid(self.center, self.radius, resolution)
 
 
+def _reach(p, center):
+    """Farthest distance from ``center`` of the singular 2-sphere of the joint
+    eigenvalue ``p = (a, b)``: centered at ``(Re a, Re b)``, radius ``|(Im a, Im b)|``."""
+    return math.hypot(p[0].real - center[0], p[1].real - center[1]) + math.hypot(
+        p[0].imag, p[1].imag
+    )
+
+
 def enclosing_sphere_grid(pair, resolution=48, margin=1.0):
     """Sphere grid enclosing the joint spectral set with the given margin.
 
     The singular set of the joint pencil is a union of 2-spheres, one per
-    joint eigenvalue ``(a, b)``: centered at the real-part pair with radius
-    ``|(Im a, Im b)|``.  The returned sphere covers all of them.
+    joint eigenvalue; the returned sphere covers all of them.
     """
     points = joint_spectrum_points(pair)
     c1 = (min(p[0].real for p in points) + max(p[0].real for p in points)) / 2.0
     c2 = (min(p[1].real for p in points) + max(p[1].real for p in points)) / 2.0
-    reach = max(
-        math.hypot(p[0].real - c1, p[1].real - c2) + math.hypot(p[0].imag, p[1].imag)
-        for p in points
-    )
+    reach = max(_reach(p, (c1, c2)) for p in points)
     return SphereGrid((c1, c2), reach + margin, resolution)
 
 
@@ -274,18 +285,15 @@ def _check_enclosure(pair, grid, margin_floor=1e-10):
     try:
         points = joint_spectrum_points(pair)
     except NumericError:
-        points = None
+        points = ()
     c1, c2 = grid.center
-    if points is not None:
-        for p in points:
-            need = math.hypot(p[0].real - c1, p[1].real - c2) + math.hypot(
-                p[0].imag, p[1].imag
+    for p in points:
+        need = _reach(p, grid.center)
+        if need >= grid.radius:
+            raise GeometryError(
+                f"joint spectral sphere of {p} reaches {need:g}, "
+                f"outside the surface radius {grid.radius:g}"
             )
-            if need >= grid.radius:
-                raise GeometryError(
-                    f"joint spectral sphere of {p} reaches {need:g}, "
-                    f"outside the surface radius {grid.radius:g}"
-                )
     # coarse singular-value sweep guards the defective / fallback cases
     coarse = 8
     eta = (np.arange(1, coarse) * (math.pi / 2.0)) / coarse
@@ -293,22 +301,17 @@ def _check_enclosure(pair, grid, margin_floor=1e-10):
     ee, a1, a2 = np.meshgrid(eta, th, th, indexing="ij")
     z1 = c1 + grid.radius * np.cos(ee) * np.exp(1j * a1)
     z2 = c2 + grid.radius * np.sin(ee) * np.exp(1j * a2)
-    worst = math.inf
-    for w1, w2 in zip(z1.ravel(), z2.ravel()):
-        worst = min(worst, joint_resolvent_margin(pair, (w1, w2)))
-        if worst < margin_floor:
-            raise GeometryError("joint pencil is nearly singular on the surface")
+    worst = float(np.min(joint_resolvent_margin(pair, (z1, z2))))
+    if worst < margin_floor:
+        raise GeometryError("joint pencil is nearly singular on the surface")
     return worst
 
 
-def martinelli_calculus(
-    f,
-    pair,
-    grid,
-    imag_tol=1e-6,
-    chunk=65536,
-    return_diagnostics=False,
-):
+#: Surface nodes solved per batch; bounds the solver's working memory.
+_SURFACE_CHUNK = 65536
+
+
+def martinelli_calculus(f, pair, grid, imag_tol=1e-6, return_diagnostics=False):
     """Two-variable calculus ``f(T1, T2)`` by surface quadrature.
 
     Evaluates the kernel density on the sphere grid, solving the pencil
@@ -328,7 +331,6 @@ def martinelli_calculus(
     res = grid.resolution
     t1 = pair.t1.astype(complex)
     t2 = pair.t2.astype(complex)
-    t_sq = pair.t1 @ pair.t1 + pair.t2 @ pair.t2
     eye = np.eye(n)
 
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(res)
@@ -345,20 +347,15 @@ def martinelli_calculus(
     total_nodes = ee.size
 
     acc = np.zeros((n, n), dtype=complex)
-    for start in range(0, total_nodes, chunk):
-        sl = slice(start, min(start + chunk, total_nodes))
+    for start in range(0, total_nodes, _SURFACE_CHUNK):
+        sl = slice(start, min(start + _SURFACE_CHUNK, total_nodes))
         ce, se = np.cos(ee[sl]), np.sin(ee[sl])
         u1 = np.exp(1j * a1[sl])
         u2 = np.exp(1j * a2[sl])
         z1 = c1 + radius * ce * u1
         z2 = c2 + radius * se * u2
 
-        pencil = (
-            t_sq
-            - 2.0 * z1.real[:, None, None] * pair.t1
-            - 2.0 * z2.real[:, None, None] * pair.t2
-            + (np.abs(z1) ** 2 + np.abs(z2) ** 2)[:, None, None] * eye
-        ).astype(complex)
+        pencil = joint_pencil(pair, (z1, z2))
 
         phi1 = (u1 * se * ce * ce)[:, None, None]
         phi2 = (u2 * se * se * ce)[:, None, None]

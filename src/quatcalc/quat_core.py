@@ -168,13 +168,6 @@ K = Quaternion(0.0, 1.0)
 L = Quaternion(0.0, 1j)
 
 
-def quat_mul(p, q):
-    """Product of two quaternions; the matrix view multiplies accordingly."""
-    if not isinstance(p, Quaternion) or not isinstance(q, Quaternion):
-        raise InvalidArgumentError("quat_mul expects two Quaternions")
-    return p * q
-
-
 def skew_conjugate(a):
     """Skew complex conjugation ``[[a11,a12],[a21,a22]] -> [[c22,-c21],[-c12,c11]]``
     with ``c`` the entrywise conjugate; its fixed points are the quaternions.

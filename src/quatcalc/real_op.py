@@ -30,9 +30,6 @@ from .errors import (
 from .func_model import AnalyticScalar
 from .quat_core import Quaternion, left_mult_matrix
 
-#: Normalized smallest singular value above which a point counts as resolvent.
-RESOLVENT_REL_THRESHOLD = 1e-10
-
 _DEFAULT_EIG_CAP = 64
 
 
@@ -83,11 +80,6 @@ def q_resolvent_margin(T, q):
     n = T.shape[0]
     pencil = T @ T - (2.0 * q.re) * T + (q.norm() ** 2) * np.eye(n)
     return smallest_singular_value(pencil) / max(1.0, op_norm(T) ** 2)
-
-
-def in_q_resolvent(T, q, threshold=RESOLVENT_REL_THRESHOLD):
-    """Threshold form of the membership query; prefer the margin directly."""
-    return q_resolvent_margin(T, q) > threshold
 
 
 def q_block_pencil(T, q):
@@ -266,13 +258,14 @@ def _spot_check_flat_symmetry(F, circles):
 
 
 def operator_contour(T, clearance=None):
-    """Real-centered circles covering the eigenvalue clusters of ``T``."""
-    report = complex_spectrum(T)
-    eigs = [complex(v) for v in report.eigenvalues]
+    """Real-centered circles covering the eigenvalue clusters of ``T``, checked
+    to hold every eigenvalue strictly inside."""
+    eigs = [complex(v) for v in complex_spectrum(T).eigenvalues]
     spectral_radius = max(abs(v) for v in eigs)
     if clearance is None:
         clearance = max(0.1, 0.05 * spectral_radius)
     circles = enclosing_circles(eigs, clearance, real_centers=True)
+    _check_enclosed(eigs, circles)
     return Contour(tuple(circles), conjugate_symmetric=True)
 
 
@@ -288,8 +281,11 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False, flat_tol
     n = T.shape[0]
     if F.dim != n:
         raise InvalidArgumentError("operator function dimension mismatch")
-    gamma = contour if contour is not None else operator_contour(T)
-    _check_enclosed(complex_spectrum(T).eigenvalues, gamma.circles)
+    if contour is None:
+        gamma = operator_contour(T)
+    else:
+        gamma = contour
+        _check_enclosed(complex_spectrum(T).eigenvalues, gamma.circles)
     if isinstance(F, OpaqueOperatorFunction):
         _spot_check_flat_symmetry(F, gamma.circles)
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quatcalc import CommutingPair, QuaternionPolynomial, make_quaternion
+
+# Wall time varies too much between runs for a per-example deadline; fixed
+# seeds keep property runs reproducible and write no example database.
+settings.register_profile("quatcalc", deadline=None, derandomize=True, database=None)
+settings.load_profile("quatcalc")
 
 
 def random_quaternion(rng, scale=1.0):

@@ -116,7 +116,7 @@ def _random_stem(rng):
     def poly(deg):
         return qc.Polynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
 
-    return qc.make_stem_pair(poly(int(rng.integers(0, 5))), poly(int(rng.integers(0, 5))))
+    return qc.PairStem(poly(int(rng.integers(0, 5))), poly(int(rng.integers(0, 5))))
 
 
 def test_criterion_03_quaternion_valued_criterion():
@@ -283,7 +283,7 @@ def test_criterion_08_slice_regularity():
             qc.spectral_evaluator(qc.ScalarStem(qc.Exp())),
             qc.spectral_evaluator(qc.ScalarStem(qc.Sin())),
             qc.spectral_evaluator(
-                qc.make_stem_pair(qc.Polynomial([0.4, 1j, 1.0]), qc.Polynomial([0.2, -0.5j]))
+                qc.PairStem(qc.Polynomial([0.4, 1j, 1.0]), qc.Polynomial([0.2, -0.5j]))
             ),
         ]
         assert len(grid.points) == 1000
@@ -373,7 +373,7 @@ def test_criterion_11_block_pencil_equivalences():
                 )
             scale = math.sqrt(joint_op._pair_scale(pair))
             m = qc.joint_resolvent_margin(pair, z)
-            b = joint_op.smallest_singular_value(qc.joint_block_pencil(pair, z)) / scale
+            b = real_op.smallest_singular_value(qc.joint_block_pencil(pair, z)) / scale
             if m > 2 * threshold:
                 assert b > 0.5 * threshold
             if m < 0.5 * threshold:
@@ -381,7 +381,7 @@ def test_criterion_11_block_pencil_equivalences():
             ms = qc.joint_membership_margin(pair, z)
             bs = min(
                 b,
-                joint_op.smallest_singular_value(
+                real_op.smallest_singular_value(
                     qc.joint_block_pencil(pair, qc.cvec_star(z))
                 )
                 / scale,

@@ -110,7 +110,7 @@ def test_agreement_with_spectral_values(rng):
         random_hpoly(rng, 4),
         qc.ScalarStem(qc.Exp()),
         qc.ScalarStem(qc.Sin()),
-        qc.make_stem_pair(qc.Polynomial([1j, 0.5]), qc.Polynomial([0.0, 0.0, 1.0])),
+        qc.PairStem(qc.Polynomial([1j, 0.5]), qc.Polynomial([0.0, 0.0, 1.0])),
     ]
     for F in stems:
         for _ in range(10):

@@ -69,22 +69,22 @@ def test_symmetric_domain_conjugation_closure():
 # stem constructors and verification
 
 
-def test_make_stem_pair_diagonal_example():
-    F = qc.make_stem_pair(qc.Polynomial([1j, 1]), qc.Polynomial([0]))
+def test_pair_stem_diagonal_example():
+    F = qc.PairStem(qc.Polynomial([1j, 1]), qc.Polynomial([0]))
     z = 0.3 + 0.4j
     np.testing.assert_allclose(F(z), np.diag([z + 1j, z - 1j]), atol=1e-15)
     assert not F.f1.symmetric
     assert qc.verify_stem(F).passed
 
 
-def test_make_stem_pair_constant_identity():
-    F = qc.make_stem_pair(qc.Polynomial([1]), qc.Polynomial([0]))
+def test_pair_stem_constant_identity():
+    F = qc.PairStem(qc.Polynomial([1]), qc.Polynomial([0]))
     np.testing.assert_array_equal(F(2.7), np.eye(2))
     assert qc.verify_stem(F).passed
 
 
-def test_make_stem_pair_generic_passes():
-    F = qc.make_stem_pair(qc.Polynomial([0, 1]), qc.Polynomial([0, 0, 1]))
+def test_pair_stem_generic_passes():
+    F = qc.PairStem(qc.Polynomial([0, 1]), qc.Polynomial([0, 0, 1]))
     samples = qc.conjugate_sample_pairs(pairs=50)
     assert len(samples) == 100
     assert qc.verify_stem(F, samples=samples).passed
@@ -131,7 +131,7 @@ def test_stem_split_identity_and_constant():
 
 
 def test_stem_split_reconstruction(rng):
-    F = qc.make_stem_pair(qc.Polynomial([1j, 1]), qc.Polynomial([0.5, 0, -2j]))
+    F = qc.PairStem(qc.Polynomial([1j, 1]), qc.Polynomial([0.5, 0, -2j]))
     f1, f2 = qc.stem_split(F)
     for _ in range(50):
         z = complex(rng.standard_normal(), rng.standard_normal())
@@ -170,7 +170,7 @@ def test_eval_spectral_non_stem_leaves_algebra():
 def test_eval_spectral_embedded_slice_formula(rng):
     f1 = qc.Polynomial([0.3, 1j, 1])
     f2 = qc.Polynomial([-1, 0.7j])
-    F = qc.make_stem_pair(f1, f2)
+    F = qc.PairStem(f1, f2)
     for zeta in (0.8 + 1.3j, -0.5 - 0.9j, 1.1 + 0j):
         q = qc.Quaternion(zeta, 0.0)
         got = qc.eval_spectral(F, q)
@@ -185,7 +185,7 @@ def test_eval_spectral_embedded_slice_formula(rng):
 
 
 def test_eval_spectral_real_point():
-    F = qc.make_stem_pair(qc.Polynomial([0, 1]), qc.Polynomial([2.0]))
+    F = qc.PairStem(qc.Polynomial([0, 1]), qc.Polynomial([2.0]))
     got = qc.eval_spectral(F, I * 1.5)
     np.testing.assert_allclose(got, F(1.5), atol=1e-14)
 
@@ -234,7 +234,7 @@ def _random_stem(rng):
     def poly():
         deg = int(rng.integers(0, 4))
         return qc.Polynomial(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-    return qc.make_stem_pair(poly(), poly())
+    return qc.PairStem(poly(), poly())
 
 
 def test_stems_produce_quaternions(rng):

@@ -3,6 +3,7 @@ import pytest
 
 import quatcalc as qc
 from quatcalc import joint_op
+from quatcalc.real_op import smallest_singular_value
 
 from conftest import random_commuting_pair
 
@@ -96,7 +97,7 @@ def test_block_pencil_equivalence(rng):
             )
         scale = np.sqrt(joint_op._pair_scale(pair))
         m = qc.joint_resolvent_margin(pair, z)
-        b = joint_op.smallest_singular_value(qc.joint_block_pencil(pair, z)) / scale
+        b = smallest_singular_value(qc.joint_block_pencil(pair, z)) / scale
         if m > 2 * threshold:
             assert b > 0.5 * threshold
         if m < 0.5 * threshold:
@@ -105,7 +106,7 @@ def test_block_pencil_equivalence(rng):
         ms = qc.joint_membership_margin(pair, z)
         bs = min(
             b,
-            joint_op.smallest_singular_value(qc.joint_block_pencil(pair, qc.cvec_star(z)))
+            smallest_singular_value(qc.joint_block_pencil(pair, qc.cvec_star(z)))
             / scale,
         )
         if ms > 2 * threshold:
@@ -230,6 +231,69 @@ def test_two_admissible_spheres_agree(rng):
     a = qc.martinelli_calculus(f, pair, g1)
     b = qc.martinelli_calculus(f, pair, g2)
     assert np.linalg.norm(a - b) <= 2e-6 * max(1.0, np.linalg.norm(a))
+
+
+def test_array_pencils_and_margins_match_scalar_calls(rng):
+    pair, _ = random_commuting_pair(rng, 3)
+    z1 = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    z2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    pencils = qc.joint_pencil(pair, (z1, z2))
+    margins = qc.joint_resolvent_margin(pair, (z1, z2))
+    assert pencils.shape == (2, 5, 3, 3)
+    assert margins.shape == (2, 5)
+    for i in range(2):
+        for k in range(5):
+            w = (complex(z1[i, k]), complex(z2[k]))
+            np.testing.assert_allclose(pencils[i, k], qc.joint_pencil(pair, w), rtol=1e-15)
+            assert abs(margins[i, k] - qc.joint_resolvent_margin(pair, w)) <= 1e-15 * max(
+                1.0, margins[i, k]
+            )
+    assert isinstance(qc.joint_resolvent_margin(pair, (z1[0, 0], z2[0])), float)
+
+
+def test_enclosure_sweep_matches_pointwise_loop(rng):
+    pair, _ = random_commuting_pair(rng, 3)
+    grid = qc.enclosing_sphere_grid(pair, resolution=16)
+    c1, c2 = grid.center
+    t_sq = pair.t1 @ pair.t1 + pair.t2 @ pair.t2
+    scale = max(1.0, np.linalg.norm(pair.t1, 2) ** 2 + np.linalg.norm(pair.t2, 2) ** 2)
+    want = np.inf
+    count = 0
+    for eta in np.arange(1, 8) * (np.pi / 16.0):
+        for th1 in 2.0 * np.pi * np.arange(8) / 8:
+            for th2 in 2.0 * np.pi * np.arange(8) / 8:
+                z1 = c1 + grid.radius * np.cos(eta) * np.exp(1j * th1)
+                z2 = c2 + grid.radius * np.sin(eta) * np.exp(1j * th2)
+                pencil = (
+                    t_sq
+                    - 2.0 * z1.real * pair.t1
+                    - 2.0 * z2.real * pair.t2
+                    + (abs(z1) ** 2 + abs(z2) ** 2) * np.eye(3)
+                )
+                want = min(want, np.linalg.svd(pencil, compute_uv=False)[-1] / scale)
+                count += 1
+    assert count == 448
+    got = joint_op._check_enclosure(pair, grid)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_enclosure_sweep_rejects_singular_surface_without_spectrum(monkeypatch):
+    # the pencil of this pair vanishes on the 2-sphere Re z = (c, 0),
+    # |Im z| = c, which meets the unit sphere at the sweep node with
+    # eta = pi/4, th1 = 0 and th2 = pi/2
+    c = np.cos(np.pi / 4.0)
+    pair = rotation_pair(c, 0.0, 0.0, c)
+    grid = qc.SphereGrid((0.0, 0.0), 1.0, 16)
+    f = qc.TwoVariablePolynomial([[1.0]])
+    with pytest.raises(qc.GeometryError, match="reaches"):
+        qc.martinelli_calculus(f, pair, grid)
+
+    def no_points(*args, **kwargs):
+        raise qc.NumericError("could not separate joint eigenvalues")
+
+    monkeypatch.setattr(joint_op, "joint_spectrum_points", no_points)
+    with pytest.raises(qc.GeometryError, match="nearly singular"):
+        qc.martinelli_calculus(f, pair, grid)
 
 
 def test_insufficient_enclosure_rejected():

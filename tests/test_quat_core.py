@@ -35,7 +35,7 @@ def test_make_quaternion_basis_images():
     [(J, K, L), (K, J, -L), (K, L, J), (L, K, -J), (L, J, K), (J, L, -K)],
 )
 def test_multiplication_table(a, b, expected):
-    assert qc.quat_mul(a, b) == expected
+    assert a * b == expected
 
 
 def test_make_quaternion_rejects_nonfinite():

@@ -78,8 +78,8 @@ def test_margin_diagonal_operator():
     assert qc.q_resolvent_margin(T, qc.Quaternion(1.0, 0)) <= 1e-14
     assert qc.q_resolvent_margin(T, qc.Quaternion(4.0, 0)) <= 1e-14
     assert qc.q_resolvent_margin(T, qc.Quaternion(2.5, 0)) > 1e-3
-    assert not qc.in_q_resolvent(T, qc.Quaternion(1.0, 0))
-    assert qc.in_q_resolvent(T, qc.Quaternion(2.5, 0))
+    assert not qc.q_resolvent_margin(T, qc.Quaternion(1.0, 0)) > 1e-10
+    assert qc.q_resolvent_margin(T, qc.Quaternion(2.5, 0)) > 1e-10
 
 
 def test_margin_star_invariance_exact(rng):
@@ -153,6 +153,20 @@ def test_complex_spectrum_cap():
 
 # ---------------------------------------------------------------------------
 # operator functions and the calculus
+
+
+def test_op_calculus_computes_the_spectrum_once(rng, monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(a):
+        calls.append(a)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    T = rng.standard_normal((4, 4))
+    qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 4), T)
+    assert len(calls) == 1
 
 
 def test_operator_contour_is_real_centered(rng):
