@@ -192,6 +192,25 @@ def test_joint_calc(capsys):
     np.testing.assert_allclose(got, np.diag([3.0, 8.0]), atol=1e-5)
 
 
+def test_joint_calc_computes_the_spectrum_once(capsys, monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    doc = {
+        "matrix1": [[1.0, 0.5], [0.0, 2.0]],
+        "matrix2": [[3.0, 1.0], [0.0, 5.0]],
+        "function": {"kind": "poly2", "coeffs": [[{"re": 1, "im": 0}]]},
+    }
+    code, _ = run_cli(capsys, "joint-calc", doc, "--grid-res", "16")
+    assert code == 0
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # contracts of the front end itself
 

@@ -339,3 +339,121 @@ def test_surface_calculus_consistent_with_contour_calculus(rng):
         got = qc.martinelli_calculus(f, pair, grid)
         want = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 2), pair.t1)
         assert np.linalg.norm(got - want) <= 1e-6 * max(1.0, np.linalg.norm(want))
+
+
+def solve_twice_reference(f, pair, grid):
+    """Complex surface sum by the per-node loop: two complex solves per node."""
+    n = pair.dim
+    c1, c2 = grid.center
+    radius = grid.radius
+    res = grid.resolution
+    t1 = pair.t1.astype(complex)
+    t2 = pair.t2.astype(complex)
+    eye = np.eye(n)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(res)
+    th = 2.0 * np.pi * np.arange(res) / res
+    ee, a1, a2 = np.meshgrid((np.pi / 4.0) * (gl_nodes + 1.0), th, th, indexing="ij")
+    ww = np.broadcast_to((np.pi / 4.0) * gl_weights[:, None, None], ee.shape).ravel()
+    ww = ww * (2.0 * np.pi / res) ** 2
+    ee, a1, a2 = ee.ravel(), a1.ravel(), a2.ravel()
+    ce, se = np.cos(ee), np.sin(ee)
+    u1, u2 = np.exp(1j * a1), np.exp(1j * a2)
+    z1 = c1 + radius * ce * u1
+    z2 = c2 + radius * se * u2
+    acc = np.zeros((n, n), dtype=complex)
+    for k in range(ee.size):
+        pencil = qc.joint_pencil(pair, (z1[k], z2[k]))
+        rhs = (z1[k].conjugate() * eye - t1) * (u1[k] * se[k] * ce[k] ** 2) + (
+            z2[k].conjugate() * eye - t2
+        ) * (u2[k] * se[k] ** 2 * ce[k])
+        rhs = rhs * (complex(f(z1[k], z2[k])) * ww[k])
+        acc += np.linalg.solve(pencil, np.linalg.solve(pencil, rhs))
+    return acc * (radius**3 / (2.0 * np.pi**2))
+
+
+def rotation_block_pair_3x3(rng):
+    """Commuting 3x3 pair ``S D S^-1`` whose ``D`` has a 2x2 rotation block."""
+    d1 = np.zeros((3, 3))
+    d2 = np.zeros((3, 3))
+    d1[:2, :2] = [[0.3, 0.5], [-0.5, 0.3]]
+    d2[:2, :2] = [[-0.5, 0.4], [-0.4, -0.5]]
+    d1[2, 2], d2[2, 2] = 0.4, 0.9
+    S = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+    inv = np.linalg.inv(S)
+    return qc.CommutingPair(S @ d1 @ inv, S @ d2 @ inv)
+
+
+@pytest.mark.parametrize("res", [8, 16])
+def test_regrouped_quadrature_matches_solve_twice_reference(rng, res):
+    pair = rotation_block_pair_3x3(rng)
+    grid = qc.enclosing_sphere_grid(pair, resolution=res)
+    symmetric = qc.SeparableProduct(qc.Exp(), qc.Polynomial([1.0, 0.5]))
+    skewed = qc.TwoVariablePolynomial([[0.0, 0.0, 1.0], [1j, 0.0, 0.0]])  # i z1 + z2^2
+    for f, imag_tol in ((symmetric, 1e-6), (skewed, 1.0)):
+        want = solve_twice_reference(f, pair, grid)
+        got, diag = qc.martinelli_calculus(
+            f, pair, grid, imag_tol=imag_tol, return_diagnostics=True
+        )
+        scale = max(1.0, np.linalg.norm(want.real))
+        want_defect = np.linalg.norm(want.imag)
+        assert diag["nodes"] == res**3
+        assert np.linalg.norm(got - want.real) <= 1e-12 * np.linalg.norm(want.real)
+        # the defect is measured against the same scale as the imaginary-residue check
+        assert abs(diag["imag_defect"] - want_defect) <= 1e-12 * max(want_defect, scale)
+    # the last f, the skewed one, leaves a residue well above rounding
+    assert want_defect > 1e-3 * scale
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 3])
+def test_chunked_quadrature_matches_one_chunk(rng, monkeypatch, rows_per_chunk):
+    pair = rotation_block_pair_3x3(rng)
+    res = 16
+    grid = qc.enclosing_sphere_grid(pair, resolution=res)
+    f = qc.SeparableProduct(qc.Exp(), qc.Polynomial([1.0, 0.5]))
+    assert joint_op._SURFACE_CHUNK >= res**3
+    whole = qc.martinelli_calculus(f, pair, grid)
+    monkeypatch.setattr(joint_op, "_SURFACE_CHUNK", rows_per_chunk * res * res)
+    chunked = qc.martinelli_calculus(f, pair, grid)
+    assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
+
+
+@pytest.mark.parametrize("with_spectrum", [True, False])
+def test_jordan_block_pair_reproduces_substitution(monkeypatch, with_spectrum):
+    t1 = np.array([[0.4, 1.0], [0.0, 0.4]])
+    pair = qc.CommutingPair(t1, t1 @ t1)
+    grid = qc.SphereGrid((0.4, 0.16), 1.5, 32)
+    if not with_spectrum:
+        # enclosure then rests on the 448-point singular-value sweep alone
+        def no_points(*args, **kwargs):
+            raise qc.NumericError("could not separate joint eigenvalues")
+
+        monkeypatch.setattr(joint_op, "joint_spectrum_points", no_points)
+    for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]:
+        want = np.linalg.matrix_power(pair.t1, a) @ np.linalg.matrix_power(pair.t2, b)
+        got = qc.martinelli_calculus(qc.TwoVariablePolynomial.monomial(a, b), pair, grid)
+        assert np.linalg.norm(got - want) <= 1e-4 * max(1.0, np.linalg.norm(want))
+
+
+def test_pair_keeps_read_only_copies_and_its_spectrum(monkeypatch):
+    t1 = np.diag([1.0, 2.0])
+    pair = qc.CommutingPair(t1, np.diag([3.0, 4.0]))
+    t1[0, 0] = 5.0
+    assert pair.t1[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        pair.t2[0, 0] = 0.0
+
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    first = qc.joint_spectrum_points(pair)
+    first.clear()
+    assert qc.joint_spectrum_points(pair) == qc.joint_spectrum_points(pair)
+    assert len(qc.joint_spectrum_points(pair)) == 2
+    assert len(calls) == 1
+    qc.joint_spectrum_points(pair, seed=8)
+    assert len(calls) == 2
