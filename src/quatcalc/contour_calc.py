@@ -84,10 +84,11 @@ def _compensated_sum(values):
     return s[0] + err
 
 
-def _trapezoid_doubling(integrand, circles, cfg=None):
-    """Node-doubling trapezoid rule for ``(1/2 pi i)`` times the integral of
-    ``integrand(z) dz`` over circles; ``integrand`` maps ``m`` points to
-    their ``(m, n, n)`` matrix values.
+def _trapezoid_doubling(circle_sum, circles, cfg=None):
+    """Node-doubling trapezoid rule for ``(1/2 pi i)`` times a contour
+    integral over circles; ``circle_sum(circle, nodes, offset)`` returns the
+    sum of ``integrand(z) dz/dtheta`` over the angles ``2 pi (k + offset) /
+    nodes`` of one circle, before the ``1/nodes`` weight.
 
     Each doubling evaluates only the new midpoints and adds them to the
     running node sum (Trefethen & Weideman, SIAM Review 56, 2014).  Doubling
@@ -98,13 +99,7 @@ def _trapezoid_doubling(integrand, circles, cfg=None):
     cfg = cfg if cfg is not None else QuadratureConfig()
 
     def level_sum(nodes, offset):
-        # at the angles 2 pi (k + offset) / nodes, before the 1/nodes weight
-        unit = np.exp(2j * np.pi * (np.arange(nodes) + offset) / nodes)
-        total = 0.0
-        for c in circles:
-            z = c.center + c.radius * unit
-            total = total + _compensated_sum(integrand(z) * (c.radius * unit)[:, None, None])
-        return total
+        return sum(circle_sum(c, nodes, offset) for c in circles)
 
     nodes = cfg.nodes_per_circle
     running = level_sum(nodes, 0.0)
@@ -223,14 +218,16 @@ def cauchy_transform(F, q, gamma, cfg=None, return_diagnostics=False):
     _check_contour_in_domain(F, gamma)
     e_plus, e_minus = spectral_projections(q)
 
-    def integrand(z):
+    def circle_sum(c, nodes, offset):
+        unit = np.exp(2j * np.pi * (np.arange(nodes) + offset) / nodes)
+        z = c.center + c.radius * unit
         resolvent = (
             (1.0 / (z - sp.s_plus))[:, None, None] * e_plus
             + (1.0 / (z - sp.s_minus))[:, None, None] * e_minus
         )
-        return F(z) @ resolvent
+        return _compensated_sum((F(z) @ resolvent) * (c.radius * unit)[:, None, None])
 
-    value, diag = _trapezoid_doubling(integrand, gamma.circles, cfg)
+    value, diag = _trapezoid_doubling(circle_sum, gamma.circles, cfg)
     return (value, diag) if return_diagnostics else value
 
 

@@ -47,9 +47,11 @@ from .quat_core import cvec_star
 from .real_op import as_real_operator, op_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommutingPair:
-    """Pair of same-size commuting real matrices, held as read-only copies."""
+    """Pair of same-size commuting real matrices, held as read-only copies.
+
+    Pairs compare and hash by identity, as each keeps its own spectrum."""
 
     t1: np.ndarray
     t2: np.ndarray

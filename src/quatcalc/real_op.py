@@ -7,7 +7,9 @@ invertibility of the real pencil ``T^2 - 2 Re(q) T + norm(q)^2``, reported
 as a normalized smallest singular value so callers pick their own
 thresholds.  The analytic calculus integrates ``F(z)(z - T)^-1`` over
 conjugate-symmetric circles and restricts to the real subspace after a
-flat-invariance check.
+flat-invariance check.  It solves ``(z - T)^-1`` only on the upper half of
+a real-centered circle (the conjugates give the lower half, as T is real)
+and contracts the resolvents with the scalar weights of F's terms.
 """
 
 from __future__ import annotations
@@ -173,6 +175,14 @@ class OperatorFunction:
     def dim(self):
         raise NotImplementedError
 
+    def expand(self, z):
+        """Real coefficients ``A`` of shape ``(J, n, n)`` and complex weights
+        ``g`` of shape ``(J, m)`` with ``F(z[k]) = sum_j g[j, k] A[j]`` at the
+        ``m`` points ``z``; by default the ``n^2`` unit matrices, weighted by
+        the entries of ``F(z)``."""
+        n = self.dim
+        return np.eye(n * n).reshape(n * n, n, n), self(z).reshape(-1, n * n).T
+
 
 class MatrixCoefficientFunction(OperatorFunction):
     """Sum of real matrix coefficients times symmetric scalar functions."""
@@ -212,12 +222,12 @@ class MatrixCoefficientFunction(OperatorFunction):
         return self._dim
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        n = self._dim
-        out = np.zeros(z.shape + (n, n), dtype=complex)
-        for A, g in self.terms:
-            out += np.asarray(g(z), dtype=complex)[..., None, None] * A
-        return out
+        coeffs, g = self.expand(np.asarray(z, dtype=complex))
+        return np.tensordot(g, coeffs, axes=(0, 0))
+
+    def expand(self, z):
+        weights = [np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape) for _, g in self.terms]
+        return np.array([A for A, _ in self.terms]), np.array(weights)
 
 
 class OpaqueOperatorFunction(OperatorFunction):
@@ -276,6 +286,12 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False, flat_tol
     spectrum with node doubling, checks flat invariance of the value to
     ``flat_tol`` times its scale, and returns the real restriction.  A
     non-finite quadrature total raises NumericError.
+
+    With ``F = sum_j g_j A_j`` (``F.expand``) a circle's node sum is
+    ``sum_j A_j S_j``, ``S_j = sum_k w_k g_j(z_k) (z_k - T)^-1``.  F is
+    evaluated at every node; the resolvent is solved at the nodes with angles
+    in ``[0, pi]`` of a real-centered circle, whose mirrors ``conj z`` take
+    its conjugate, and at every node of any other circle.
     """
     T = as_real_operator(T)
     n = T.shape[0]
@@ -289,16 +305,32 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False, flat_tol
     if isinstance(F, OpaqueOperatorFunction):
         _spot_check_flat_symmetry(F, gamma.circles)
 
-    def integrand(z):
-        shifted = z[:, None, None] * np.eye(n) - T
-        # F(z) (z - T)^-1 via a transposed batched solve
-        return np.swapaxes(
-            np.linalg.solve(np.swapaxes(shifted, -1, -2), np.swapaxes(F(z), -1, -2)),
-            -1,
-            -2,
-        )
+    eye = np.eye(n)
 
-    value, diag = _trapezoid_doubling(integrand, gamma.circles, cfg)
+    def circle_sum(circle, nodes, offset):
+        # R(conj z) = conj R(z) for R(z) = (z - T)^-1: the mirrored nodes are
+        # the exact conjugates of solved nodes and take no solve of their own
+        folded = circle.center.imag == 0.0
+        solved = nodes // 2 + int(offset == 0.0) if folded else nodes
+        unit = np.exp(2j * np.pi * (np.arange(solved) + offset) / nodes)
+        z, w = circle.center + circle.radius * unit, circle.radius * unit
+        mirrored = slice(int(offset == 0.0), nodes // 2 if folded else 0)
+        coeffs, g = F.expand(np.concatenate((z, z[mirrored].conj())))
+        a = g[:, :solved] * w
+        b = np.zeros_like(a)
+        b[:, mirrored] = g[:, solved:] * w[mirrored].conj()
+        pencil = np.repeat(-T[None].astype(complex), solved, axis=0)
+        pencil.reshape(solved, -1)[:, :: n + 1] += z[:, None]
+        R = np.linalg.solve(pencil, eye[None]).reshape(solved, n * n)
+        # S_j = sum_k (a_jk R_k + b_jk conj R_k) = (a + b)_j Re R + i (a - b)_j Im R
+        # by one real matmul over the nodes; the circle's sum is sum_j A_j S_j
+        plus, minus = a + b, a - b
+        parts = np.concatenate((plus.real, plus.imag, minus.real, minus.imag)) @ R.view(float)
+        pr, pi, mr, mi = parts.reshape(4, -1, n, n, 2)
+        S = pr[..., 0] - mi[..., 1] + 1j * (pi[..., 0] + mr[..., 1])
+        return np.tensordot(coeffs, S, axes=([0, 2], [0, 1]))
+
+    value, diag = _trapezoid_doubling(circle_sum, gamma.circles, cfg)
     scale = max(1.0, float(np.linalg.norm(value)))
     flat_defect = float(np.linalg.norm(value - flat(value)))
     if flat_defect > flat_tol * scale:

@@ -457,3 +457,15 @@ def test_pair_keeps_read_only_copies_and_its_spectrum(monkeypatch):
     assert len(calls) == 1
     qc.joint_spectrum_points(pair, seed=8)
     assert len(calls) == 2
+
+
+def test_pairs_compare_and_hash_by_identity():
+    pair = qc.CommutingPair(np.eye(2), np.eye(2))
+    twin = qc.CommutingPair(np.eye(2), np.eye(2))
+    assert pair == pair
+    assert not pair != pair
+    assert (pair == twin) is False
+    assert pair != twin
+    assert hash(pair) == hash(pair) != hash(twin)
+    seen = {pair: "first", twin: "second"}
+    assert seen[pair] == "first" and seen[twin] == "second"

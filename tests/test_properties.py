@@ -1,8 +1,10 @@
-"""Property tests of the quaternion algebra over finite bounded components."""
+"""Property tests of the quaternion algebra over finite bounded components,
+and of the operator calculus on real polynomials."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import quatcalc as qc
 
@@ -48,3 +50,21 @@ def test_eigenvectors_satisfy_the_eigen_equation(q):
 def test_spectral_projections_resolve_the_identity(q):
     e_plus, e_minus = qc.spectral_projections(q)
     np.testing.assert_allclose(e_plus + e_minus, np.eye(2), rtol=0, atol=1e-12)
+
+
+entries = st.floats(min_value=-1.0, max_value=1.0)
+operator_polynomials = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        arrays(float, (n, n), elements=entries), arrays(float, (3, n, n), elements=entries)
+    )
+)
+
+
+@settings(max_examples=40)
+@given(operator_polynomials)
+def test_operator_calculus_reproduces_real_polynomials(case):
+    T, coeffs = case
+    F = qc.MatrixCoefficientFunction.from_polynomial(list(coeffs))
+    want = sum(A @ np.linalg.matrix_power(T, k) for k, A in enumerate(coeffs))
+    got = qc.op_calculus(F, T)
+    assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))

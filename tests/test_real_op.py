@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,128 @@ def test_quaternion_module_polynomials(rng):
         want = sum(A @ np.linalg.matrix_power(T, k) for k, A in enumerate(mats))
         got = qc.op_calculus(F, T)
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+def _per_node_trapezoid(F, T, circles, nodes):
+    """The ``nodes``-point trapezoid value of ``F(z) (z - T)^-1`` with one
+    transposed solve per node, the integrand of the unfolded quadrature."""
+    n = T.shape[0]
+    unit = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    terms = []
+    for c in circles:
+        for u in unit:
+            z = c.center + c.radius * u
+            shifted = z * np.eye(n) - T
+            values = np.linalg.solve(shifted.T, np.asarray(F(z), dtype=complex).T).T
+            terms.append(values * (c.radius * u))
+    return np.sum(terms, axis=0) / nodes
+
+
+def _rotation_3x3():
+    T = np.zeros((3, 3))
+    T[:2, :2] = rotation_block(0.3, 0.8)
+    T[2, 2] = -0.6
+    T[0, 2], T[1, 2] = 0.1, -0.2
+    return T
+
+
+def _fold_cases():
+    rng = np.random.default_rng(31)
+    T3 = _rotation_3x3()
+    two_terms = qc.MatrixCoefficientFunction(
+        [
+            (rng.standard_normal((3, 3)), qc.Exp()),
+            (rng.standard_normal((3, 3)), qc.Polynomial([0.5, -1.0, 0.25])),
+        ]
+    )
+    shift = np.diag(np.where(np.arange(8) < 4, -2.5, 2.5))
+    split = 0.3 * rng.standard_normal((8, 8)) / np.sqrt(8) + shift
+    off_axis = qc.Contour((qc.Circle(1 + 2j, 0.5), qc.Circle(1 - 2j, 0.5)))
+    return {
+        "rotation-3x3": (two_terms, T3, None),
+        "split-8x8": (qc.MatrixCoefficientFunction.from_scalar(qc.Sin(), 8), split, None),
+        "off-axis-contour": (
+            qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 2), rotation_block(1.0, 2.0), off_axis
+        ),
+        "opaque-exp": (qc.OpaqueOperatorFunction(lambda z: np.exp(z) * np.eye(3), 3), T3, None),
+    }
+
+
+@pytest.mark.parametrize("case", ["rotation-3x3", "split-8x8", "off-axis-contour", "opaque-exp"])
+def test_folded_quadrature_matches_per_node_reference(case):
+    F, T, gamma = _fold_cases()[case]
+    got, diag, _ = qc.op_calculus(F, T, contour=gamma, return_diagnostics=True)
+    circles = (gamma or qc.operator_contour(T)).circles
+    if case == "split-8x8":
+        assert len(circles) == 2
+    want = _per_node_trapezoid(F, T, circles, diag.nodes_per_circle)
+    assert diag.converged
+    assert np.linalg.norm(got - want.real) <= 1e-12 * np.linalg.norm(want)
+
+
+class _ClaimsSymmetry(qc.AnalyticScalar):
+    """Declares ``f(conj z) = conj f(z)`` but returns ``1j * z``."""
+
+    symmetric = True
+
+    def __call__(self, z):
+        return 1j * np.asarray(z, dtype=complex)
+
+
+def test_folded_quadrature_catches_a_false_symmetry_claim():
+    F = qc.MatrixCoefficientFunction.from_scalar(_ClaimsSymmetry(), 3)
+    with pytest.raises(qc.ContractViolationError):
+        qc.op_calculus(F, _rotation_3x3())
+
+
+class _CountingExp(qc.AnalyticScalar):
+    symmetric = True
+
+    def __init__(self):
+        self.points = []
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        self.points.append(z.ravel().copy())
+        return np.exp(z)
+
+
+def test_each_node_is_evaluated_once_and_half_are_solved(monkeypatch):
+    systems = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        systems.append(int(np.prod(np.shape(a)[:-2])))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    T = rotation_block(0.3, 0.8)
+    (circle,) = qc.operator_contour(T).circles
+    g = _CountingExp()
+    F = qc.MatrixCoefficientFunction.from_scalar(g, 2)
+    _, diag, _ = qc.op_calculus(F, T, return_diagnostics=True)
+    assert diag.converged and diag.nodes_per_circle == 2048
+    points = np.concatenate(g.points)
+    assert points.size == 2048
+    assert np.sum(np.abs(points.imag) <= 1e-12) == 2
+    k = np.angle((points - circle.center) / circle.radius) * 2048 / (2 * np.pi)
+    np.testing.assert_allclose(k, np.round(k), rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(np.sort(np.round(k) % 2048), np.arange(2048))
+    assert sum(systems) == 1025
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_sine_of_non_normal_triangular_matrices(seed):
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    for n in (8, 12, 16):
+        T = np.triu(rng.standard_normal((n, n)), 1) + np.diag(rng.standard_normal(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", qc.AccuracyWarning)
+            got = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Sin(), n), T)
+        want = scipy.linalg.sinm(T)
+        assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
 # ---------------------------------------------------------------------------
