@@ -7,9 +7,12 @@ along (I, J, K, L), and matrices are row-major nested arrays.  Outputs echo
 the parsed inputs, so a run is reproducible from its own output; identical
 inputs produce identical output bytes.
 
-Exit codes: 0 success, 1 parse error, 2 domain/geometry/contract error or
-a non-finite result, 3 accuracy error (including a quadrature that stalls
-before its tolerance).  Nothing is written to the output on a nonzero exit.
+Exit codes: 0 success (``--help`` included), 1 parse error (a malformed
+document, or a usage error such as an unknown command or a non-finite
+``--tol``, ``--margin`` or ``--fd-step``), 2 domain/geometry/contract error
+or a non-finite result, 3 accuracy error (including a quadrature that
+stalls before its tolerance).  Nothing is written to the output on a
+nonzero exit.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -51,6 +55,7 @@ from . import (
     build_contour,
     cauchy_derivative,
     complex_spectrum,
+    conjugate_sample_pairs,
     discrete_mult_op,
     dist_to_quaternions,
     enclosing_sphere_grid,
@@ -66,21 +71,6 @@ from . import (
     verify_stem,
     zero_set_contains,
 )
-
-_SUBCOMMANDS = (
-    "spectrum",
-    "eval",
-    "deriv",
-    "stem-check",
-    "slice-check",
-    "zeros",
-    "op-spectrum",
-    "op-calc",
-    "mult-op",
-    "joint-spectrum",
-    "joint-calc",
-)
-
 
 class ParseError(ValueError):
     pass
@@ -305,9 +295,10 @@ def _run_deriv(doc, args):
 def _run_stem_check(doc, args):
     domain = _domain_in(doc.get("domain"))
     F = _stem_in(doc["function"], domain=domain)
-    samples = None
     if "samples" in doc:
         samples = [_c_in(c) for c in doc["samples"]]
+    else:
+        samples = conjugate_sample_pairs(F.domain)
     report = verify_stem(F, samples=samples, tol=args.tol)
     out = {
         "max_defect": report.max_defect,
@@ -315,12 +306,7 @@ def _run_stem_check(doc, args):
         "witness": _c_out(report.witness),
     }
     if args.emit_samples:
-        used = samples if samples is not None else None
-        if used is None:
-            from .func_model import conjugate_sample_pairs
-
-            used = conjugate_sample_pairs(F.domain)
-        out["samples"] = [_c_out(z) for z in used]
+        out["samples"] = [_c_out(z) for z in samples]
     return out
 
 
@@ -445,19 +431,30 @@ _HANDLERS = {
 }
 
 
+def _finite_float(text):
+    """Option type for thresholds and steps: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quatcalc",
         description="Quaternionic spectra and analytic functional calculus.",
     )
-    parser.add_argument("command", choices=_SUBCOMMANDS)
+    parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("--input", help="input JSON document (default: stdin)")
     parser.add_argument("--output", help="output path (default: stdout)")
-    parser.add_argument("--tol", type=float, default=1e-10, help="tolerance / check threshold")
+    parser.add_argument("--tol", type=_finite_float, default=1e-10, help="tolerance / check threshold")
     parser.add_argument("--nodes", type=int, default=1024, help="starting quadrature nodes per circle")
-    parser.add_argument("--fd-step", type=float, default=1e-4, help="finite-difference step")
+    parser.add_argument("--fd-step", type=_finite_float, default=1e-4, help="finite-difference step")
     parser.add_argument("--grid-res", type=int, default=48, help="sphere grid resolution per angle")
-    parser.add_argument("--margin", type=float, default=0.25, help="contour/sphere clearance margin")
+    parser.add_argument("--margin", type=_finite_float, default=0.25, help="contour/sphere clearance margin")
     parser.add_argument(
         "--emit-samples", action="store_true", help="include evaluation grids in the output"
     )
@@ -470,7 +467,9 @@ def run(argv):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 0 after --help and 2 on a usage error, which is a
+        # parse error here; 2 is the code for domain errors
+        return 1 if exc.code else 0
 
     try:
         if args.input:

@@ -27,6 +27,11 @@ from .quat_core import Quaternion, spectral_projections, spectrum
 
 _IDENT2 = np.eye(2, dtype=complex)
 
+#: Truncation rule of ``series_eval`` and divergence rule of ``taylor_recompose``.
+_SERIES_REL_FLOOR = 1e-16
+_SERIES_STALL = 3
+_TAYLOR_GROW_LIMIT = 5
+
 
 @dataclass(frozen=True)
 class Circle:
@@ -41,7 +46,6 @@ class Contour:
     """Finite union of disjoint positively oriented circles."""
 
     circles: tuple
-    conjugate_symmetric: bool = True
 
 
 @dataclass
@@ -58,6 +62,8 @@ class QuadratureConfig:
                 raise InvalidArgumentError("node counts must be powers of two >= 16")
         if self.max_nodes < self.nodes_per_circle:
             raise InvalidArgumentError("max_nodes below starting node count")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
+            raise InvalidArgumentError("rel_tol must be finite and non-negative")
 
 
 @dataclass
@@ -133,7 +139,7 @@ def enclosing_circles(points, margin, real_centers=False):
     ``real_centers`` is set; overlapping clusters merge into a single
     real-centered circle keeping the same clearance.
     """
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise InvalidArgumentError("margin must be positive")
     pts = []
     for p in points:
@@ -186,7 +192,7 @@ def build_contour(spectra, domain, margin):
     for c in circles:
         if domain.clearance(c.center) <= c.radius:
             raise GeometryError("enclosing circle escapes the domain")
-    return Contour(tuple(circles), conjugate_symmetric=True)
+    return Contour(tuple(circles))
 
 
 def _check_enclosed(points, circles):
@@ -241,11 +247,11 @@ def cauchy_derivative(F, order, q, gamma, cfg=None, return_diagnostics=False):
     return cauchy_transform(G, q, gamma, cfg, return_diagnostics)
 
 
-def series_eval(coeffs, q, radius, rel_floor=1e-16, stall=3):
+def series_eval(coeffs, q, radius):
     """Sum ``a_n q^n`` for quaternion coefficients inside the convergence disk.
 
-    Truncates after ``stall`` consecutive terms fall below ``rel_floor``
-    relative to the partial sum; requires ``norm(q) < radius``.
+    Truncates after 3 consecutive terms fall below 1e-16 relative to the
+    partial sum; requires ``norm(q) < radius``.
     """
     if q.norm() >= radius:
         raise DomainError(f"norm(q) = {q.norm():g} is not below the radius {radius:g}")
@@ -255,9 +261,9 @@ def series_eval(coeffs, q, radius, rel_floor=1e-16, stall=3):
     for a in coeffs:
         term = (a * power).matrix()
         total = total + term
-        if np.linalg.norm(term) <= rel_floor * np.linalg.norm(total):
+        if np.linalg.norm(term) <= _SERIES_REL_FLOOR * np.linalg.norm(total):
             small += 1
-            if small >= stall:
+            if small >= _SERIES_STALL:
                 break
         else:
             small = 0
@@ -280,12 +286,12 @@ def derivative_bound(order, r0, d, d0, sup_f, both_half_planes):
     return factor * math.factorial(order) * r0 * sup_f / (d ** (order + 1) * d0)
 
 
-def taylor_recompose(F, q, lam, terms, grow_limit=5):
+def taylor_recompose(F, q, lam, terms):
     """Partial sum of ``sum F_n(q)/n! (lam*I - q)^n`` with ``F_n`` the n-th
     derivative value at ``q``; converges to ``F(lam)`` for admissible pairs.
 
-    Raises DomainError when the terms grow for ``grow_limit`` consecutive
-    orders beyond the partial-sum scale.
+    Raises DomainError when the terms grow for 5 consecutive orders beyond
+    the partial-sum scale.
     """
     if terms < 1:
         raise InvalidArgumentError("need at least one term")
@@ -303,7 +309,7 @@ def taylor_recompose(F, q, lam, terms, grow_limit=5):
         tn = float(np.linalg.norm(term))
         if tn > prev_norm:
             grown += 1
-            if grown >= grow_limit and n > hump:
+            if grown >= _TAYLOR_GROW_LIMIT and n > hump:
                 raise DomainError("recomposition series is diverging")
         else:
             grown = 0

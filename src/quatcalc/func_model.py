@@ -29,6 +29,7 @@ from .quat_core import (
 )
 
 _IDENT2 = np.eye(2, dtype=complex)
+_STEM_SPLIT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +297,6 @@ class MatrixFunction:
     def derivative(self):
         raise NotImplementedError
 
-    def reflected_value(self, z):
-        """Value of ``z -> skew_conjugate(F(z))`` at ``z``."""
-        return skew_conjugate(self(z))
-
 
 class ScalarStem(MatrixFunction):
     """Stem function ``f * I`` for a symmetric scalar ``f``."""
@@ -494,13 +491,13 @@ def verify_stem(F, samples=None, tol=1e-10):
     return StemReport(max_defect <= tol, max_defect, samples[worst])
 
 
-def stem_split(F, samples=None, tol=1e-8):
+def stem_split(F):
     """Split a stem function into its quaternion-valued parts ``F = F1 + i*F2``.
 
     Returns two pointwise evaluable maps; raises ContractViolationError when
-    ``F`` fails the stem check on the given samples.
+    ``F`` fails the stem check, to 1e-8, on ``conjugate_sample_pairs(F.domain)``.
     """
-    report = verify_stem(F, samples=samples, tol=tol)
+    report = verify_stem(F, tol=_STEM_SPLIT_TOL)
     if not report.passed:
         raise ContractViolationError(
             f"not a stem function (defect {report.max_defect:.3e} at {report.witness})"

@@ -43,8 +43,15 @@ from .errors import (
     NumericError,
 )
 from .func_model import AnalyticScalar
-from .quat_core import cvec_star
-from .real_op import as_real_operator, op_norm
+from .quat_core import cvec_star, mat_norm
+from .real_op import as_real_operator
+
+#: Residual bound, number of draws of ``mu`` and generator seed of
+#: ``joint_spectrum_points``; smallest pencil margin of the enclosure sweep.
+_JOINT_TOL = 1e-8
+_JOINT_DRAWS = 8
+_JOINT_SEED = 7
+_MARGIN_FLOOR = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +62,8 @@ class CommutingPair:
 
     t1: np.ndarray
     t2: np.ndarray
-    #: ``joint_spectrum_points`` results keyed by ``(tol, retries, seed)``.
-    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The ``joint_spectrum_points`` result, once computed.
+    _points: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t1 = as_real_operator(self.t1).copy()
@@ -64,8 +71,8 @@ class CommutingPair:
         t1.flags.writeable = t2.flags.writeable = False
         if t1.shape != t2.shape:
             raise InvalidArgumentError("pair members must have equal shape")
-        scale = max(1.0, op_norm(t1) * op_norm(t2))
-        if op_norm(t1 @ t2 - t2 @ t1) > 1e-12 * scale:
+        scale = max(1.0, mat_norm(t1) * mat_norm(t2))
+        if mat_norm(t1 @ t2 - t2 @ t1) > 1e-12 * scale:
             raise InvalidArgumentError("matrices do not commute within tolerance")
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
@@ -100,7 +107,7 @@ def joint_pencil(pair, z):
 
 
 def _pair_scale(pair):
-    return max(1.0, op_norm(pair.t1) ** 2 + op_norm(pair.t2) ** 2)
+    return max(1.0, mat_norm(pair.t1) ** 2 + mat_norm(pair.t2) ** 2)
 
 
 def joint_resolvent_margin(pair, z):
@@ -132,24 +139,24 @@ def joint_block_pencil(pair, z):
     return pair_q_matrix(pair) - np.kron(q, np.eye(pair.dim))
 
 
-def joint_spectrum_points(pair, tol=1e-8, retries=8, seed=7):
+def joint_spectrum_points(pair):
     """Joint eigenvalue pairs of a simultaneously diagonalizable pair.
 
     Diagonalizes a random combination ``T1 + mu T2``, reads both eigenvalues
     off each shared eigenvector by Rayleigh quotients, and verifies the
-    residuals; a fresh ``mu`` is drawn on collisions, up to ``retries``
-    attempts.  Returned points are deduplicated and sorted, and each lies in
-    the zero set of the joint resolvent margin.  A successful result is
-    kept on the pair, so later calls with the same arguments return a copy.
+    residuals to 1e-8; a fresh ``mu`` is drawn on collisions, up to 8 draws
+    from a generator seeded with 7.  Returned points are deduplicated and
+    sorted, and each lies in the zero set of the joint resolvent margin.  A
+    successful result is kept on the pair, so later calls return a copy.
     """
-    if (tol, retries, seed) in pair._points:
-        return list(pair._points[tol, retries, seed])
-    rng = np.random.default_rng(seed)
+    if pair._points:
+        return list(pair._points)
+    rng = np.random.default_rng(_JOINT_SEED)
     t1, t2 = pair.t1, pair.t2
     n = pair.dim
-    scale = max(1.0, op_norm(t1), op_norm(t2))
+    scale = max(1.0, mat_norm(t1), mat_norm(t2))
     last_err = None
-    for _ in range(retries):
+    for _ in range(_JOINT_DRAWS):
         mu = complex(rng.standard_normal(), rng.standard_normal())
         try:
             _, vecs = np.linalg.eig(t1 + mu * t2)
@@ -165,7 +172,7 @@ def joint_spectrum_points(pair, tol=1e-8, retries=8, seed=7):
             lam2 = complex(v.conj() @ (t2 @ v) / (nv * nv))
             r1 = np.linalg.norm(t1 @ v - lam1 * v) / (scale * nv)
             r2 = np.linalg.norm(t2 @ v - lam2 * v) / (scale * nv)
-            if max(r1, r2) > tol:
+            if max(r1, r2) > _JOINT_TOL:
                 ok = False
                 last_err = f"shared-eigenvector residual {max(r1, r2):.3e}"
                 break
@@ -174,13 +181,13 @@ def joint_spectrum_points(pair, tol=1e-8, retries=8, seed=7):
             continue
         unique = []
         for p in sorted(points, key=lambda w: (w[0].real, w[0].imag, w[1].real, w[1].imag)):
-            if not unique or abs(p[0] - unique[-1][0]) + abs(p[1] - unique[-1][1]) > 10 * tol * scale:
+            if not unique or abs(p[0] - unique[-1][0]) + abs(p[1] - unique[-1][1]) > 10 * _JOINT_TOL * scale:
                 unique.append(p)
         margins = joint_resolvent_margin(pair, np.array(unique).T)
         for p, m in zip(unique, margins):
-            if m > tol:
+            if m > _JOINT_TOL:
                 raise NumericError(f"candidate joint eigenvalue {p} misses the pencil zero set")
-        pair._points[tol, retries, seed] = unique
+        pair._points.extend(unique)
         return list(unique)
     raise NumericError(f"could not separate joint eigenvalues: {last_err}")
 
@@ -208,9 +215,9 @@ class TwoVariablePolynomial(TwoVariableFunction):
         self.coeffs = coeffs
 
     @classmethod
-    def monomial(cls, a, b, scale=1.0):
+    def monomial(cls, a, b):
         c = np.zeros((a + 1, b + 1), dtype=complex)
-        c[a, b] = scale
+        c[a, b] = 1.0
         return cls(c)
 
     def __call__(self, z1, z2):
@@ -289,7 +296,7 @@ def enclosing_sphere_grid(pair, resolution=48, margin=1.0):
     return SphereGrid((c1, c2), reach + margin, resolution)
 
 
-def _check_enclosure(pair, grid, margin_floor=1e-10):
+def _check_enclosure(pair, grid):
     try:
         points = joint_spectrum_points(pair)
     except NumericError:
@@ -310,7 +317,7 @@ def _check_enclosure(pair, grid, margin_floor=1e-10):
     z1 = c1 + grid.radius * np.cos(ee) * np.exp(1j * a1)
     z2 = c2 + grid.radius * np.sin(ee) * np.exp(1j * a2)
     worst = float(np.min(joint_resolvent_margin(pair, (z1, z2))))
-    if worst < margin_floor:
+    if worst < _MARGIN_FLOOR:
         raise GeometryError("joint pencil is nearly singular on the surface")
     return worst
 

@@ -19,7 +19,7 @@ from .errors import DomainError, InvalidArgumentError, SingularElementError
 #: Relative threshold below which a coordinate is treated as exactly zero.
 DEGENERATE_REL_TOL = 1e-14
 
-#: Default relative tolerance for membership in the quaternion subalgebra.
+#: Relative tolerance for membership in the quaternion subalgebra.
 H_MEMBERSHIP_REL_TOL = 1e-10
 
 
@@ -42,12 +42,6 @@ class Quaternion:
 
     def __setattr__(self, name, value):
         raise AttributeError("Quaternion is immutable")
-
-    @classmethod
-    def from_components(cls, x0, x1, x2, x3):
-        """Build from real components along the basis (I, J, K, L)."""
-        _require_finite(x0, x1, x2, x3)
-        return cls(complex(x0, x1), complex(x2, x3))
 
     @property
     def coords(self):
@@ -82,11 +76,6 @@ class Quaternion:
         if n2 == 0.0:
             raise SingularElementError("zero quaternion has no inverse")
         return Quaternion(self.z1.conjugate() / n2, -self.z2 / n2)
-
-    def is_real(self, tol=None):
-        scale = max(1.0, self.norm())
-        tol = DEGENERATE_REL_TOL * scale if tol is None else tol
-        return abs(self.z1.imag) <= tol and abs(self.z2) <= tol
 
     def __add__(self, other):
         if not isinstance(other, Quaternion):
@@ -158,7 +147,8 @@ class Quaternion:
 
 def make_quaternion(x0, x1, x2, x3):
     """Quaternion with real components (x0, x1, x2, x3) along (I, J, K, L)."""
-    return Quaternion.from_components(x0, x1, x2, x3)
+    _require_finite(x0, x1, x2, x3)
+    return Quaternion(complex(x0, x1), complex(x2, x3))
 
 
 #: Basis elements of the quaternion algebra.
@@ -198,8 +188,8 @@ def dist_to_quaternions(a):
 
 
 def mat_norm(a):
-    """Operator (spectral) norm of a 2x2 complex matrix."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
+    """Operator (spectral) norm of a real or complex matrix."""
+    return float(np.linalg.norm(np.asarray(a), 2))
 
 
 def split_h_ih(a):
@@ -211,15 +201,14 @@ def split_h_ih(a):
     return Quaternion(b[0, 0], b[0, 1]), Quaternion(c[0, 0], c[0, 1])
 
 
-def as_quaternion(a, tol=None):
+def as_quaternion(a):
     """Project a 2x2 matrix onto the quaternions, requiring it to be close.
 
     Raises InvalidArgumentError when the distance exceeds
-    ``tol`` (default ``1e-10 * max(1, norm(a))``).
+    ``1e-10 * max(1, norm(a))``.
     """
     a = np.asarray(a, dtype=complex)
-    if tol is None:
-        tol = H_MEMBERSHIP_REL_TOL * max(1.0, float(np.linalg.norm(a)))
+    tol = H_MEMBERSHIP_REL_TOL * max(1.0, float(np.linalg.norm(a)))
     if dist_to_quaternions(a) > tol:
         raise InvalidArgumentError("matrix is not a quaternion within tolerance")
     b, _ = split_h_ih(a)

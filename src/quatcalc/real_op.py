@@ -29,10 +29,15 @@ from .errors import (
     InvalidArgumentError,
     NumericError,
 )
-from .func_model import AnalyticScalar
-from .quat_core import Quaternion, left_mult_matrix
+from .func_model import AnalyticScalar, Polynomial
+from .quat_core import Quaternion, left_mult_matrix, mat_norm, spectrum
 
 _DEFAULT_EIG_CAP = 64
+
+#: Conjugate-pairing (``complex_spectrum``) and flat-invariance (``op_calculus``)
+#: tolerances, relative to the spectral radius and to the value's norm.
+_PAIR_REL_TOL = 1e-8
+_FLAT_REL_TOL = 1e-8
 
 
 def as_real_operator(T):
@@ -62,10 +67,6 @@ def flat(S):
     return S.conj()
 
 
-def op_norm(T):
-    return float(np.linalg.norm(np.asarray(T), 2))
-
-
 def smallest_singular_value(M):
     return float(np.linalg.svd(np.asarray(M), compute_uv=False)[-1])
 
@@ -81,7 +82,7 @@ def q_resolvent_margin(T, q):
         raise InvalidArgumentError("expected a Quaternion")
     n = T.shape[0]
     pencil = T @ T - (2.0 * q.re) * T + (q.norm() ** 2) * np.eye(n)
-    return smallest_singular_value(pencil) / max(1.0, op_norm(T) ** 2)
+    return smallest_singular_value(pencil) / max(1.0, mat_norm(T) ** 2)
 
 
 def q_block_pencil(T, q):
@@ -113,8 +114,6 @@ class SpectrumReport:
         This is the eigenvalue route to quaternionic spectrum membership;
         it agrees with a small ``q_resolvent_margin`` up to tolerance bands.
         """
-        from .quat_core import spectrum
-
         sp = spectrum(q)
         return all(
             float(np.min(np.abs(self.eigenvalues - s))) <= tol
@@ -143,11 +142,11 @@ def _conjugate_pairs(eigs, tol):
     return tuple(out)
 
 
-def complex_spectrum(T, cap=_DEFAULT_EIG_CAP, pair_tol=1e-8):
+def complex_spectrum(T, cap=_DEFAULT_EIG_CAP):
     """Eigenvalues of the complexified operator, conjugate-paired.
 
     The spectrum is conjugate symmetric for real input; pairing failures
-    beyond ``pair_tol`` (relative to the spectral radius) raise NumericError.
+    beyond 1e-8 (relative to the spectral radius) raise NumericError.
     """
     T = as_real_operator(T)
     if T.shape[0] > cap:
@@ -158,7 +157,7 @@ def complex_spectrum(T, cap=_DEFAULT_EIG_CAP, pair_tol=1e-8):
         raise NumericError(f"eigenvalue computation failed: {exc}") from exc
     eigs = np.sort_complex(eigs)
     scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 1.0)
-    return SpectrumReport(eigs, _conjugate_pairs(eigs, pair_tol * scale))
+    return SpectrumReport(eigs, _conjugate_pairs(eigs, _PAIR_REL_TOL * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +202,6 @@ class MatrixCoefficientFunction(OperatorFunction):
     @classmethod
     def from_polynomial(cls, coeff_matrices):
         """Polynomial ``sum A_k z^k`` with real matrix coefficients."""
-        from .func_model import Polynomial
-
         terms = []
         for k, A in enumerate(coeff_matrices):
             mono = np.zeros(k + 1)
@@ -267,24 +264,23 @@ def _spot_check_flat_symmetry(F, circles):
         )
 
 
-def operator_contour(T, clearance=None):
-    """Real-centered circles covering the eigenvalue clusters of ``T``, checked
-    to hold every eigenvalue strictly inside."""
+def operator_contour(T):
+    """Real-centered circles covering the eigenvalue clusters of ``T`` with
+    clearance ``max(0.1, 0.05 * spectral radius)``, checked to hold every
+    eigenvalue strictly inside."""
     eigs = [complex(v) for v in complex_spectrum(T).eigenvalues]
-    spectral_radius = max(abs(v) for v in eigs)
-    if clearance is None:
-        clearance = max(0.1, 0.05 * spectral_radius)
+    clearance = max(0.1, 0.05 * max(abs(v) for v in eigs))
     circles = enclosing_circles(eigs, clearance, real_centers=True)
     _check_enclosed(eigs, circles)
-    return Contour(tuple(circles), conjugate_symmetric=True)
+    return Contour(tuple(circles))
 
 
-def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False, flat_tol=1e-8):
+def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False):
     """Analytic calculus ``F(T)`` for a flat-symmetric operator function.
 
     Integrates ``F(z)(z - T_C)^-1`` over real-centered circles around the
     spectrum with node doubling, checks flat invariance of the value to
-    ``flat_tol`` times its scale, and returns the real restriction.  A
+    1e-8 times its scale, and returns the real restriction.  A
     non-finite quadrature total raises NumericError.
 
     With ``F = sum_j g_j A_j`` (``F.expand``) a circle's node sum is
@@ -333,7 +329,7 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False, flat_tol
     value, diag = _trapezoid_doubling(circle_sum, gamma.circles, cfg)
     scale = max(1.0, float(np.linalg.norm(value)))
     flat_defect = float(np.linalg.norm(value - flat(value)))
-    if flat_defect > flat_tol * scale:
+    if flat_defect > _FLAT_REL_TOL * scale:
         raise ContractViolationError(
             f"result breaks flat invariance (defect {flat_defect:.3e}); "
             "input is outside the conjugation-symmetric class"

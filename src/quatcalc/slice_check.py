@@ -110,14 +110,14 @@ class SliceReport:
     worst_point: tuple = field(default=None)
 
 
-def slice_regularity_report(G, grid, tol=1e-5, domain=None):
+def slice_regularity_report(G, grid, tol=1e-5):
     """Worst slice Cauchy-Riemann defect of ``G`` over a sample grid."""
     if not grid.points:
         raise InvalidArgumentError("empty sample grid")
     worst = -1.0
     worst_point = None
     for x, y, s in grid.points:
-        defect = float(np.linalg.norm(dbar_s(G, x, y, s, h=grid.h, domain=domain), 2))
+        defect = float(np.linalg.norm(dbar_s(G, x, y, s, h=grid.h), 2))
         if defect > worst:
             worst = defect
             worst_point = (x, y, s)

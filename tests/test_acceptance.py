@@ -351,7 +351,7 @@ def test_criterion_11_block_pencil_equivalences():
                 q = qc.quaternions_with_spectrum(lam, 0.5 * abs(lam.imag))
             else:
                 q = random_quaternion(rng, 2.0)
-            scale = max(1.0, real_op.op_norm(T))
+            scale = max(1.0, qc.mat_norm(T))
             m = qc.q_resolvent_margin(T, q)
             b = min(
                 real_op.smallest_singular_value(qc.q_block_pencil(T, q)),

@@ -250,6 +250,39 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [[], ["frobnicate"], ["spectrum", "--nodes", "abc"], ["spectrum", "--bogus"]]
+)
+def test_usage_error_exits_1(capsys, argv):
+    assert cli.run(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_help_exits_0(capsys):
+    assert cli.run(["--help"]) == 0
+    assert "usage: quatcalc" in capsys.readouterr().out
+
+
+STEM_EXP = {"function": {"kind": "scalar", "f": {"kind": "exp"}}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flag, value",
+    [
+        ("stem-check", STEM_EXP, "--tol", "nan"),
+        ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--tol", "nan"),
+        ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--margin", "inf"),
+        ("deriv", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--margin", "nan"),
+        ("slice-check", STEM_EXP, "--fd-step", "-inf"),
+        ("slice-check", STEM_EXP, "--fd-step", "abc"),
+    ],
+)
+def test_non_finite_option_exits_1(capsys, command, doc, flag, value):
+    code, out = run_cli(capsys, command, doc, flag, value)
+    assert code == 1
+    assert out == ""
+
+
 def test_domain_error_exit_code(capsys):
     doc = {
         "function": {"kind": "scalar", "f": {"kind": "exp"}},
@@ -306,6 +339,8 @@ def test_module_entry_point(tmp_path):
                   "quaternion": [1e200, 0, 0, 0], "method": "spectral"}),
     ],
 )
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_value_exits_2(capsys, command, doc):
     code, out = run_cli(capsys, command, doc)
     assert code == 2

@@ -28,6 +28,9 @@ def test_quadrature_config_validation():
         qc.QuadratureConfig(nodes_per_circle=8)
     with pytest.raises(qc.InvalidArgumentError):
         qc.QuadratureConfig(nodes_per_circle=1024, max_nodes=512)
+    for rel_tol in (math.nan, math.inf, -1e-10):
+        with pytest.raises(qc.InvalidArgumentError):
+            qc.QuadratureConfig(rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +42,8 @@ def test_build_contour_two_circles():
     centers = sorted(c.center.imag for c in gamma.circles)
     assert centers == [-1.0, 1.0]
     assert all(c.radius == 0.25 for c in gamma.circles)
-    assert gamma.conjugate_symmetric
+    circles = set(gamma.circles)
+    assert {qc.Circle(c.center.conjugate(), c.radius) for c in circles} == circles
 
 
 def test_build_contour_real_point():
@@ -466,6 +470,12 @@ def test_enclosing_circles_invariants_fuzz(rng):
             for c in circles
         }
         assert keyed == {(x, -y, r) for x, y, r in keyed}
+
+
+@pytest.mark.parametrize("margin", [0.0, -0.3, math.nan])
+def test_enclosing_circles_rejects_bad_margin(margin):
+    with pytest.raises(qc.InvalidArgumentError):
+        qc.enclosing_circles([1j], margin)
 
 
 def test_enclosing_circles_real_centers_variant(rng):

@@ -455,8 +455,6 @@ def test_pair_keeps_read_only_copies_and_its_spectrum(monkeypatch):
     assert qc.joint_spectrum_points(pair) == qc.joint_spectrum_points(pair)
     assert len(qc.joint_spectrum_points(pair)) == 2
     assert len(calls) == 1
-    qc.joint_spectrum_points(pair, seed=8)
-    assert len(calls) == 2
 
 
 def test_pairs_compare_and_hash_by_identity():

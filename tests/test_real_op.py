@@ -114,7 +114,7 @@ def test_block_pencil_equivalence(rng):
             q = qc.quaternions_with_spectrum(lam, 0.1 * abs(lam.imag))
         else:
             q = random_quaternion(rng, 2.0)
-        scale = max(1.0, qc.real_op.op_norm(T))
+        scale = max(1.0, qc.mat_norm(T))
         m = qc.q_resolvent_margin(T, q)
         b1 = qc.real_op.smallest_singular_value(qc.q_block_pencil(T, q)) / scale
         b2 = qc.real_op.smallest_singular_value(qc.q_block_pencil(T, q.star())) / scale
@@ -175,6 +175,8 @@ def test_operator_contour_is_real_centered(rng):
     T = rng.standard_normal((6, 6))
     gamma = qc.operator_contour(T)
     assert all(c.center.imag == 0.0 for c in gamma.circles)
+    circles = set(gamma.circles)
+    assert {qc.Circle(c.center.conjugate(), c.radius) for c in circles} == circles
     for lam in qc.complex_spectrum(T).eigenvalues:
         assert max(c.radius - abs(complex(lam) - c.center) for c in gamma.circles) > 0
 
