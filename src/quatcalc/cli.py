@@ -8,11 +8,12 @@ the parsed inputs, so a run is reproducible from its own output; identical
 inputs produce identical output bytes.
 
 Exit codes: 0 success (``--help`` included), 1 parse error (a malformed
-document, or a usage error such as an unknown command or a non-finite
-``--tol``, ``--margin`` or ``--fd-step``), 2 domain/geometry/contract error
+document, or a usage error such as an unknown command, a non-finite
+``--tol``, ``--margin`` or ``--fd-step``, or an ``--fd-step`` that is not
+positive or rounds away at a sample point), 2 domain/geometry/contract error
 or a non-finite result, 3 accuracy error (including a quadrature that
-stalls before its tolerance).  Nothing is written to the output on a
-nonzero exit.
+stalls before its tolerance: a rounding floor far above it, or the node
+cap).  Nothing is written to the output on a nonzero exit.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _quadrature_diagnostics(diag):
     if not diag.converged:
         raise AccuracyError(
             f"quadrature stalled at {diag.nodes_per_circle} nodes/circle "
-            f"(last change {diag.est_error:.3e})"
+            f"(last change {diag.est_error:.3e}, rounding floor {diag.rounding_floor:.3e})"
         )
     return dataclasses.asdict(diag)
 
@@ -451,7 +452,13 @@ def build_parser():
     parser.add_argument("--input", help="input JSON document (default: stdin)")
     parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--tol", type=_finite_float, default=1e-10, help="tolerance / check threshold")
-    parser.add_argument("--nodes", type=int, default=1024, help="starting quadrature nodes per circle")
+    parser.add_argument(
+        "--nodes",
+        type=int,
+        default=QuadratureConfig.nodes_per_circle,
+        help="starting quadrature nodes per circle, a power of two >= 16; doubling "
+        "stops once three levels settle to --tol or to the rounding floor",
+    )
     parser.add_argument("--fd-step", type=_finite_float, default=1e-4, help="finite-difference step")
     parser.add_argument("--grid-res", type=int, default=48, help="sphere grid resolution per angle")
     parser.add_argument("--margin", type=_finite_float, default=0.25, help="contour/sphere clearance margin")

@@ -32,6 +32,16 @@ _SERIES_REL_FLOOR = 1e-16
 _SERIES_STALL = 3
 _TAYLOR_GROW_LIMIT = 5
 
+#: Stopping rule of ``_trapezoid_doubling``: the share of the previous change
+#: that a settling change falls below, the share of the rounding floor that
+#: two successive changes must reach once it exceeds the tolerance, and the
+#: factor by which the floor may exceed the tolerance before the tolerance
+#: counts as out of reach.
+_GEOMETRIC_SHRINK = 0.5
+_NOISE_SHARE = 0.5
+_FLOOR_REACH = 100.0
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class Circle:
@@ -50,9 +60,14 @@ class Contour:
 
 @dataclass
 class QuadratureConfig:
-    """Node-doubling trapezoid configuration; node counts are powers of two."""
+    """Node-doubling trapezoid configuration; node counts are powers of two.
 
-    nodes_per_circle: int = 1024
+    The trapezoid rule converges geometrically on analytic integrands, so
+    most integrals are exact to double precision within a few doublings of
+    the 16-node start; ``_trapezoid_doubling`` states when it stops.
+    """
+
+    nodes_per_circle: int = 16
     max_nodes: int = 2**18
     rel_tol: float = 1e-10
 
@@ -68,9 +83,15 @@ class QuadratureConfig:
 
 @dataclass
 class QuadratureDiagnostics:
+    """Outcome of ``_trapezoid_doubling``: the final node count per circle,
+    the norm of the last change between levels, whether it settled, and the
+    rounding floor (eps times the mean norm of the integrand's terms at the
+    final level, in the units of ``est_error``)."""
+
     nodes_per_circle: int
     est_error: float
     converged: bool
+    rounding_floor: float
 
 
 def _compensated_sum(values):
@@ -92,43 +113,66 @@ def _compensated_sum(values):
 
 def _trapezoid_doubling(circle_sum, circles, cfg=None):
     """Node-doubling trapezoid rule for ``(1/2 pi i)`` times a contour
-    integral over circles; ``circle_sum(circle, nodes, offset)`` returns the
+    integral over circles.  ``circle_sum(circle, nodes, offset)`` returns the
     sum of ``integrand(z) dz/dtheta`` over the angles ``2 pi (k + offset) /
-    nodes`` of one circle, before the ``1/nodes`` weight.
+    nodes`` of one circle, before the ``1/nodes`` weight, and a bound on the
+    sum of its terms' norms.
 
     Each doubling evaluates only the new midpoints and adds them to the
-    running node sum (Trefethen & Weideman, SIAM Review 56, 2014).  Doubling
-    stops when two successive totals agree to ``cfg.rel_tol`` or at
-    ``cfg.max_nodes`` (then an AccuracyWarning is issued).  Returns the value
-    and its QuadratureDiagnostics; a non-finite total raises NumericError.
+    running node sums (Trefethen & Weideman, SIAM Review 56, 2014).  Eps
+    times the mean norm of a level's terms is its rounding floor: the size
+    of change that rounding alone can cause.  Every decision waits for
+    three levels, so that two coarse levels agreeing by chance settle
+    nothing.  With ``tol = cfg.rel_tol * max(1, norm(value))`` the driver
+    stops when
+
+    - the last change is at most ``tol`` and at most half the change before
+      it (the geometric decay of the trapezoid error), or both of the last
+      two changes are at most ``max(tol, floor / 2)``: converged;
+    - the floor exceeds ``100 tol`` and the last change is within 100
+      floors, so the value has settled as far as ``tol`` is out of reach:
+      a stall, reported at once;
+    - the next level would pass ``cfg.max_nodes``: a stall.
+
+    A stall issues an AccuracyWarning.  Returns the value and its
+    QuadratureDiagnostics; a non-finite total raises NumericError.
     """
     cfg = cfg if cfg is not None else QuadratureConfig()
 
-    def level_sum(nodes, offset):
-        return sum(circle_sum(c, nodes, offset) for c in circles)
+    def level_sums(nodes, offset):
+        sums = [circle_sum(c, nodes, offset) for c in circles]
+        return sum(s for s, _ in sums), sum(m for _, m in sums)
 
     nodes = cfg.nodes_per_circle
-    running = level_sum(nodes, 0.0)
-    prev, diff = None, math.inf
+    running, magnitude = level_sums(nodes, 0.0)
+    prev, before, last = None, math.inf, math.inf
     while True:
         cur = running / nodes
         if not np.all(np.isfinite(cur)):
             raise NumericError(f"quadrature total is not finite at {nodes} nodes/circle")
+        floor = _EPS * magnitude / nodes
         if prev is not None:
-            diff = float(np.linalg.norm(cur - prev))
-            if diff <= cfg.rel_tol * max(1.0, float(np.linalg.norm(cur))):
-                return cur, QuadratureDiagnostics(nodes, diff, True)
+            before, last = last, float(np.linalg.norm(cur - prev))
+        if before < math.inf:  # from the third level on
+            tol = cfg.rel_tol * max(1.0, float(np.linalg.norm(cur)))
+            if floor > _FLOOR_REACH * tol and last <= _FLOOR_REACH * floor:
+                break
+            settled = max(before, last) <= max(tol, _NOISE_SHARE * floor)
+            if settled or (last <= tol and last <= _GEOMETRIC_SHRINK * before):
+                return cur, QuadratureDiagnostics(nodes, last, True, floor)
         if nodes * 2 > cfg.max_nodes:
             break
         prev = cur
-        running = running + level_sum(nodes, 0.5)
+        sums, mags = level_sums(nodes, 0.5)
+        running, magnitude = running + sums, magnitude + mags
         nodes *= 2
     warnings.warn(
-        f"quadrature stalled at {nodes} nodes/circle (last change {diff:.3e})",
+        f"quadrature stalled at {nodes} nodes/circle "
+        f"(last change {last:.3e}, rounding floor {floor:.3e})",
         AccuracyWarning,
         stacklevel=3,
     )
-    return cur, QuadratureDiagnostics(nodes, diff, False)
+    return cur, QuadratureDiagnostics(nodes, last, False, floor)
 
 
 def enclosing_circles(points, margin, real_centers=False):
@@ -212,10 +256,14 @@ def _check_contour_in_domain(F, gamma):
 def cauchy_transform(F, q, gamma, cfg=None, return_diagnostics=False):
     """Contour-integral value of ``F`` at ``q``.
 
-    Doubles the node count per circle until two successive totals agree to
-    ``cfg.rel_tol`` or ``cfg.max_nodes`` is reached (then an AccuracyWarning
-    is issued).  A non-finite total raises NumericError.  For stem functions
-    the value coincides with the closed spectral form.
+    Doubles the node count per circle from ``cfg.nodes_per_circle`` (16 by
+    default) until the totals settle to ``cfg.rel_tol`` or to the rounding
+    floor under the rule of ``_trapezoid_doubling``, at the third level (64
+    nodes per circle from the default start) at the earliest.  A tolerance out of reach of the floor, or a
+    climb past ``cfg.max_nodes``, is a stall: an AccuracyWarning and
+    ``converged`` false in the diagnostics.  A non-finite total raises
+    NumericError.  For stem functions the value coincides with the closed
+    spectral form.
     """
     if not isinstance(q, Quaternion):
         raise InvalidArgumentError("cauchy_transform expects a Quaternion")
@@ -231,7 +279,8 @@ def cauchy_transform(F, q, gamma, cfg=None, return_diagnostics=False):
             (1.0 / (z - sp.s_plus))[:, None, None] * e_plus
             + (1.0 / (z - sp.s_minus))[:, None, None] * e_minus
         )
-        return _compensated_sum((F(z) @ resolvent) * (c.radius * unit)[:, None, None])
+        terms = (F(z) @ resolvent) * (c.radius * unit)[:, None, None]
+        return _compensated_sum(terms), float(np.linalg.norm(terms, axis=(1, 2)).sum())
 
     value, diag = _trapezoid_doubling(circle_sum, gamma.circles, cfg)
     return (value, diag) if return_diagnostics else value

@@ -65,17 +65,30 @@ def dbar_s(G, x, y, s, h=1e-4, domain=None):
 
 @dataclass
 class SliceSampleGrid:
-    """Evaluation points ``(x, y, s)`` plus the finite-difference step."""
+    """Evaluation points ``(x, y, s)`` plus the finite-difference step.
+
+    The step must be finite, positive and large enough that every stencil
+    point ``x + h`` and ``y + h`` differs from its center in floating point;
+    a step that rounds away makes every difference zero and passes any map.
+    """
 
     points: list
     h: float = 1e-4
 
     def __post_init__(self):
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise InvalidArgumentError(
+                f"finite-difference step must be finite and positive, got {self.h!r}"
+            )
         for x, y, s in self.points:
             if np.linalg.norm((s * s).matrix() + np.eye(2)) > 1e-12:
                 raise InvalidArgumentError("grid direction must square to -I")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise InvalidArgumentError("non-finite grid coordinate")
+            if x + self.h == x or y + self.h == y:
+                raise InvalidArgumentError(
+                    f"finite-difference step {self.h!r} rounds away at the point ({x!r}, {y!r})"
+                )
 
     @classmethod
     def random(cls, domain, n_points, n_directions, h=1e-4, seed=0):

@@ -283,6 +283,15 @@ def test_non_finite_option_exits_1(capsys, command, doc, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["exp", "star-involution"])
+@pytest.mark.parametrize("step", ["0", "-0.5", "1e-300"])
+def test_degenerate_fd_step_exits_1(capsys, kind, step):
+    fdoc = {"kind": kind} if kind == "star-involution" else STEM_EXP["function"]
+    code, out = run_cli(capsys, "slice-check", {"function": fdoc}, "--fd-step", step)
+    assert code == 1
+    assert out == ""
+
+
 def test_domain_error_exit_code(capsys):
     doc = {
         "function": {"kind": "scalar", "f": {"kind": "exp"}},

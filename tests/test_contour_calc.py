@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -186,6 +187,23 @@ def test_non_convergence_warns():
     assert diag.est_error > 0
 
 
+def test_tolerance_below_the_rounding_floor_stalls_early():
+    # one merged circle of radius 24.25 around 0.5 +/- 12i carries exp up to
+    # more than 1e10 times the value: rounding alone moves the sum by about
+    # 1e-6 of it, so 1e-10 is out of reach and the driver says so once the
+    # value has settled, not at the 2^18 node cap
+    q = qc.make_quaternion(0.5, 12.0, 0.0, 0.0)
+    gamma = contour_for(q, margin=12.25, domain=qc.SymmetricDomain.disk(0.0, 50.0))
+    assert len(gamma.circles) == 1
+    with pytest.warns(qc.AccuracyWarning):
+        value, diag = qc.cauchy_transform(
+            qc.ScalarStem(qc.Exp()), q, gamma, qc.QuadratureConfig(), return_diagnostics=True
+        )
+    assert not diag.converged
+    assert diag.nodes_per_circle <= 2**12
+    assert diag.rounding_floor > 100 * 1e-10 * np.linalg.norm(value)
+
+
 # ---------------------------------------------------------------------------
 # quadrature driver
 
@@ -202,10 +220,15 @@ class CountingStem(qc.ScalarStem):
         return super().__call__(z)
 
 
+#: A start two doublings below the 2048 nodes the node-reuse tests count,
+#: which the driver reaches at its first decision, the third level.
+REUSE_CFG = qc.QuadratureConfig(nodes_per_circle=512)
+
+
 def test_doubling_evaluates_each_node_once():
     F = CountingStem(qc.Exp())
     gamma = contour_for(J)
-    _, diag = qc.cauchy_transform(F, J, gamma, qc.QuadratureConfig(), return_diagnostics=True)
+    _, diag = qc.cauchy_transform(F, J, gamma, REUSE_CFG, return_diagnostics=True)
     assert diag.converged and diag.nodes_per_circle == 2048
     assert F.points == 2048 * len(gamma.circles)
 
@@ -222,8 +245,11 @@ def _kahan_sum(values):
 
 
 def _recomputing_cauchy_transform(F, q, gamma, cfg):
-    """Reference doubling loop that evaluates every node afresh at each level
-    and sums them with a sequential Kahan loop."""
+    """Reference doubling loop that evaluates every node afresh at each level,
+    sums them with a sequential Kahan loop, and stops by the driver's rule for
+    integrands far above the rounding floor: from the third level on, once
+    the last change is within tolerance and either half the change before it
+    or that change is within tolerance too."""
     sp = qc.spectrum(q)
     e_plus, e_minus = qc.spectral_projections(q)
 
@@ -240,23 +266,24 @@ def _recomputing_cauchy_transform(F, q, gamma, cfg):
         return acc
 
     nodes = cfg.nodes_per_circle
-    prev = total(nodes)
+    values = [total(nodes)]
     while nodes * 2 <= cfg.max_nodes:
         nodes *= 2
-        cur = total(nodes)
-        diff = np.linalg.norm(cur - prev)
-        prev = cur
-        if diff <= cfg.rel_tol * max(1.0, np.linalg.norm(cur)):
-            break
-    return prev, nodes
+        values.append(total(nodes))
+        if len(values) >= 3:
+            before, last = (np.linalg.norm(b - a) for a, b in zip(values[-3:], values[-2:]))
+            tol = cfg.rel_tol * max(1.0, np.linalg.norm(values[-1]))
+            if last <= tol and (last <= before / 2 or before <= tol):
+                break
+    return values[-1], nodes
 
 
 def test_two_circle_value_matches_recomputing_driver(rng):
     q = qc.make_quaternion(0.3, 1.5, 0.2, 0.0)
     gamma = contour_for(q)
     assert len(gamma.circles) == 2
-    cfg = qc.QuadratureConfig()
-    for F in (qc.ScalarStem(qc.Exp()), qc.ScalarStem(qc.Sin()), random_hpoly(rng, 5)):
+    stems = (qc.ScalarStem(qc.Exp()), qc.ScalarStem(qc.Sin()), random_hpoly(rng, 5))
+    for cfg, F in itertools.product((REUSE_CFG, qc.QuadratureConfig()), stems):
         want, want_nodes = _recomputing_cauchy_transform(F, q, gamma, cfg)
         got, diag = qc.cauchy_transform(F, q, gamma, cfg, return_diagnostics=True)
         assert diag.nodes_per_circle == want_nodes

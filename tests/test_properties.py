@@ -1,8 +1,11 @@
 """Property tests of the quaternion algebra over finite bounded components,
-and of the operator calculus on real polynomials."""
+of the operator calculus on real polynomials, and of the contour route
+against the closed spectral form."""
+
+import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -67,4 +70,56 @@ def test_operator_calculus_reproduces_real_polynomials(case):
     F = qc.MatrixCoefficientFunction.from_polynomial(list(coeffs))
     want = sum(A @ np.linalg.matrix_power(T, k) for k, A in enumerate(coeffs))
     got = qc.op_calculus(F, T)
+    assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+unit_floats = st.floats(min_value=-1.0, max_value=1.0)
+unit_complex = st.builds(complex, unit_floats, unit_floats)
+unit_quaternions = st.builds(qc.make_quaternion, unit_floats, unit_floats, unit_floats, unit_floats)
+bodies = st.sampled_from([qc.Exp(), qc.Sin(), qc.Cos()])
+affine_args = st.builds(
+    qc.AffineArg,
+    st.builds(complex, st.floats(0.4, 1.0), st.floats(-0.3, 0.3)),
+    st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    bodies,
+)
+complex_polynomials = st.lists(unit_complex, min_size=1, max_size=3).map(qc.Polynomial)
+stems = st.one_of(
+    st.lists(unit_quaternions, min_size=1, max_size=11).map(qc.QuaternionPolynomial),
+    bodies.map(qc.ScalarStem),
+    st.builds(
+        lambda a, p, b, r: qc.PairStem(qc.Sum(a, p), qc.Product(b, r)),
+        affine_args, complex_polynomials, affine_args, complex_polynomials,
+    ),
+)
+contour_quaternions = st.builds(
+    qc.make_quaternion, *(st.floats(min_value=-3.0, max_value=3.0) for _ in range(4))
+)
+
+#: Largest integrand norm on the contour over the value's norm (at least 1)
+#: at which double precision can meet the default 1e-10 tolerance.
+MAX_AMPLIFICATION = 1e-10 / np.finfo(float).eps
+
+
+@settings(max_examples=300)
+@given(stems, contour_quaternions, st.sampled_from([0.25, 1.0, None]), st.integers(0, 2))
+def test_contour_and_spectral_routes_agree_from_the_default_start(F, q, margin, order):
+    sp = qc.spectrum(q)
+    if margin is None:
+        # one wide circle, of radius 2 t + 0.25 about the eigenvalues q0 +- i t
+        margin = abs(sp.s_plus.imag) + 0.25
+    gamma = qc.build_contour([sp.s_plus, sp.s_minus], qc.SymmetricDomain.disk(0.0, 1e3), margin)
+    G = F
+    for _ in range(order):
+        G = G.derivative()
+    want = qc.eval_spectral(G, q)
+    unit = np.exp(2j * np.pi * np.arange(64) / 64)
+    on_contour = max(
+        float(np.linalg.norm(G(c.center + c.radius * unit), axis=(1, 2)).max())
+        for c in gamma.circles
+    )
+    assume(on_contour <= MAX_AMPLIFICATION * max(1.0, np.linalg.norm(want)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", qc.AccuracyWarning)
+        got = qc.cauchy_derivative(F, order, q, gamma)
     assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))

@@ -376,7 +376,10 @@ def test_each_node_is_evaluated_once_and_half_are_solved(monkeypatch):
     (circle,) = qc.operator_contour(T).circles
     g = _CountingExp()
     F = qc.MatrixCoefficientFunction.from_scalar(g, 2)
-    _, diag, _ = qc.op_calculus(F, T, return_diagnostics=True)
+    # two doublings below the 2048 nodes counted here: the driver decides
+    # first at its third level
+    cfg = qc.QuadratureConfig(nodes_per_circle=512)
+    _, diag, _ = qc.op_calculus(F, T, cfg, return_diagnostics=True)
     assert diag.converged and diag.nodes_per_circle == 2048
     points = np.concatenate(g.points)
     assert points.size == 2048
@@ -399,6 +402,36 @@ def test_sine_of_non_normal_triangular_matrices(seed):
             got = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Sin(), n), T)
         want = scipy.linalg.sinm(T)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("lam", np.arange(-3.0, 3.01, 0.5))
+def test_exp_of_jordan_block_stops_at_its_rounding_floor(lam):
+    # the circle about the 8-fold eigenvalue has radius 0.1-0.15, so the
+    # resolvent reaches 1e8 on it: the changes between levels are rounding
+    # noise from the first level on, at about the floor the driver estimates
+    import scipy.linalg
+
+    T = lam * np.eye(8) + np.diag(np.ones(7), 1)
+    F = qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", qc.AccuracyWarning)
+        got, diag, _ = qc.op_calculus(F, T, return_diagnostics=True)
+    want = scipy.linalg.expm(T)
+    assert diag.converged and diag.nodes_per_circle <= 8192
+    assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
+
+
+def test_stall_on_a_twelve_fold_eigenvalue_is_reported_as_a_stall():
+    # radius 0.1 about a 12-fold eigenvalue: the resolvent reaches 1e12 and
+    # the rounding floor lies far above 1e-10, so the driver stalls at once;
+    # the noise of that value breaks flat invariance by more than 1e-8,
+    # which is no evidence against the symmetric input
+    T = np.eye(12) + np.diag(np.ones(11), 1)
+    F = qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 12)
+    with pytest.warns(qc.AccuracyWarning):
+        value, diag, flat_defect = qc.op_calculus(F, T, return_diagnostics=True)
+    assert not diag.converged
+    assert flat_defect > 1e-8 * np.linalg.norm(value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,19 @@ def test_report_passes_for_contour_values(rng):
 def test_grid_validation():
     with pytest.raises(qc.InvalidArgumentError):
         qc.SliceSampleGrid([(0.0, 0.0, I)])
+    for h in (math.nan, math.inf):
+        with pytest.raises(qc.InvalidArgumentError):
+            qc.SliceSampleGrid([(0.5, 0.25, J)], h=h)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5, 1e-300])
+def test_degenerate_finite_difference_step_rejected(h):
+    # a zero step divides by zero, a negative one flips the stencil, and
+    # 1e-300 rounds away at 0.5, where every difference would read zero
+    with pytest.raises(qc.InvalidArgumentError):
+        qc.SliceSampleGrid([(0.5, 0.25, J)], h=h)
+    with pytest.raises(qc.InvalidArgumentError):
+        qc.SliceSampleGrid.random(DISK2, 10, 2, h=h)
 
 
 # ---------------------------------------------------------------------------
