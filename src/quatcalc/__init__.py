@@ -93,8 +93,6 @@ from .slice_check import (
 )
 from .real_op import (
     MatrixCoefficientFunction,
-    OpaqueOperatorFunction,
-    OperatorFunction,
     SpectrumReport,
     complex_spectrum,
     complexify,

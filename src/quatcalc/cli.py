@@ -8,10 +8,11 @@ the parsed inputs, so a run is reproducible from its own output; identical
 inputs produce identical output bytes.
 
 Exit codes: 0 success (``--help`` included), 1 parse error (a malformed
-document, or a usage error such as an unknown command, a non-finite
-``--tol``, ``--margin`` or ``--fd-step``, or an ``--fd-step`` that is not
-positive or rounds away at a sample point), 2 domain/geometry/contract error
-or a non-finite result, 3 accuracy error (including a quadrature that
+document, a field such as ``order`` that is not a number of the right kind,
+or a usage error such as an unknown command, a non-finite ``--tol``,
+``--margin`` or ``--fd-step``, or an ``--fd-step`` that is not positive or
+rounds away at a sample point), 2 domain/geometry/contract error or a
+non-finite result, 3 accuracy error (including a quadrature that
 stalls before its tolerance: a rounding floor far above it, or the node
 cap).  Nothing is written to the output on a nonzero exit.
 """
@@ -116,6 +117,17 @@ def _quat_out(q):
     return [q.components[0], q.components[1], q.components[2], q.components[3]]
 
 
+def _number_in(doc, integral=False):
+    """A finite JSON number, and with ``integral`` a whole one, as int."""
+    if isinstance(doc, bool) or not isinstance(doc, (int, float)) or not math.isfinite(doc):
+        raise ParseError(f"expected a finite number, got {doc!r}")
+    if not integral:
+        return float(doc)
+    if doc != int(doc):
+        raise ParseError(f"expected an integer, got {doc!r}")
+    return int(doc)
+
+
 def _real_matrix_in(doc):
     try:
         m = np.asarray(doc, dtype=float)
@@ -212,7 +224,7 @@ def _two_variable_in(doc):
 
 
 def _quadrature_config(args):
-    return QuadratureConfig(nodes_per_circle=args.nodes, rel_tol=args.tol)
+    return QuadratureConfig(rel_tol=args.tol)
 
 
 def _quadrature_diagnostics(diag):
@@ -287,7 +299,7 @@ def _run_eval(doc, args):
 
 
 def _run_deriv(doc, args):
-    order = int(doc.get("order", 1))
+    order = _number_in(doc.get("order", 1), integral=True)
     if order < 0:
         raise ParseError("order must be >= 0")
     return _eval_common(doc, args, order)
@@ -322,10 +334,10 @@ def _run_slice_check(doc, args):
     domain = _domain_in(grid_doc.get("domain")) or SymmetricDomain.disk(0.0, 2.0)
     grid = SliceSampleGrid.random(
         domain,
-        int(grid_doc.get("points", 200)),
-        int(grid_doc.get("directions", 5)),
+        _number_in(grid_doc.get("points", 200), integral=True),
+        _number_in(grid_doc.get("directions", 5), integral=True),
         h=args.fd_step,
-        seed=int(grid_doc.get("seed", 0)),
+        seed=_number_in(grid_doc.get("seed", 0), integral=True),
     )
     report = slice_regularity_report(G, grid, tol=args.tol)
     x, y, s = report.worst_point
@@ -403,8 +415,8 @@ def _run_joint_calc(doc, args):
     if "sphere" in doc:
         sphere = doc["sphere"]
         grid = SphereGrid(
-            (float(sphere["center"][0]), float(sphere["center"][1])),
-            float(sphere["radius"]),
+            (_number_in(sphere["center"][0]), _number_in(sphere["center"][1])),
+            _number_in(sphere["radius"]),
             args.grid_res,
         )
     else:
@@ -452,13 +464,6 @@ def build_parser():
     parser.add_argument("--input", help="input JSON document (default: stdin)")
     parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--tol", type=_finite_float, default=1e-10, help="tolerance / check threshold")
-    parser.add_argument(
-        "--nodes",
-        type=int,
-        default=QuadratureConfig.nodes_per_circle,
-        help="starting quadrature nodes per circle, a power of two >= 16; doubling "
-        "stops once three levels settle to --tol or to the rounding floor",
-    )
     parser.add_argument("--fd-step", type=_finite_float, default=1e-4, help="finite-difference step")
     parser.add_argument("--grid-res", type=int, default=48, help="sphere grid resolution per angle")
     parser.add_argument("--margin", type=_finite_float, default=0.25, help="contour/sphere clearance margin")

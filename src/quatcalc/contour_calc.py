@@ -259,11 +259,11 @@ def cauchy_transform(F, q, gamma, cfg=None, return_diagnostics=False):
     Doubles the node count per circle from ``cfg.nodes_per_circle`` (16 by
     default) until the totals settle to ``cfg.rel_tol`` or to the rounding
     floor under the rule of ``_trapezoid_doubling``, at the third level (64
-    nodes per circle from the default start) at the earliest.  A tolerance out of reach of the floor, or a
-    climb past ``cfg.max_nodes``, is a stall: an AccuracyWarning and
-    ``converged`` false in the diagnostics.  A non-finite total raises
-    NumericError.  For stem functions the value coincides with the closed
-    spectral form.
+    nodes per circle from the default start) at the earliest.  A tolerance
+    out of reach of the floor, or a climb past ``cfg.max_nodes``, is a stall:
+    an AccuracyWarning and ``converged`` false in the diagnostics.  A
+    non-finite total raises NumericError.  For stem functions the value
+    coincides with the closed spectral form.
     """
     if not isinstance(q, Quaternion):
         raise InvalidArgumentError("cauchy_transform expects a Quaternion")

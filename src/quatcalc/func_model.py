@@ -184,12 +184,17 @@ class Product(AnalyticScalar):
         return out
 
     def derivative(self):
+        # a constant factor's term is zero; kept, it doubles the tree at
+        # every further derivative
         terms = []
         for i, p in enumerate(self.parts):
+            dp = p.derivative()
+            if isinstance(dp, Polynomial) and not np.any(dp.coeffs):
+                continue
             factors = list(self.parts)
-            factors[i] = p.derivative()
+            factors[i] = dp
             terms.append(Product(*factors))
-        return Sum(*terms)
+        return Sum(*terms) if terms else Polynomial([0.0])
 
     @property
     def symmetric(self):

@@ -133,12 +133,15 @@ def _conjugate_pairs(eigs, tol):
             raise NumericError("complex eigenvalues failed to pair under conjugation")
         pairs.append(complex((u.real + w.real) / 2.0, (u.imag - w.imag) / 2.0))
     reps = [complex(r) for r in real] + pairs
+    # a cluster's members need not be neighbours in this order: another
+    # eigenvalue's real part can fall within the cluster's rounding spread
     out = []
     for r in sorted(reps, key=lambda v: (v.real, v.imag)):
-        if out and abs(out[-1][0] - r) <= tol:
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
+        near = next((k for k, (v, _) in enumerate(out) if abs(v - r) <= tol), None)
+        if near is None:
             out.append((r, 1))
+        else:
+            out[near] = (out[near][0], out[near][1] + 1)
     return tuple(out)
 
 
@@ -164,27 +167,14 @@ def complex_spectrum(T, cap=_DEFAULT_EIG_CAP):
 # operator-valued functions with flat symmetry
 
 
-class OperatorFunction:
-    """Analytic map into complex n x n matrices with ``F(conj z) = flat(F(z))``."""
+class MatrixCoefficientFunction:
+    """Analytic map ``F(z) = sum_j g_j(z) A_j`` into complex n x n matrices,
+    with real coefficients ``A_j`` and symmetric scalars ``g_j``, so that
+    ``F(conj z) = flat(F(z))``.
 
-    def __call__(self, z):
-        raise NotImplementedError
-
-    @property
-    def dim(self):
-        raise NotImplementedError
-
-    def expand(self, z):
-        """Real coefficients ``A`` of shape ``(J, n, n)`` and complex weights
-        ``g`` of shape ``(J, m)`` with ``F(z[k]) = sum_j g[j, k] A[j]`` at the
-        ``m`` points ``z``; by default the ``n^2`` unit matrices, weighted by
-        the entries of ``F(z)``."""
-        n = self.dim
-        return np.eye(n * n).reshape(n * n, n, n), self(z).reshape(-1, n * n).T
-
-
-class MatrixCoefficientFunction(OperatorFunction):
-    """Sum of real matrix coefficients times symmetric scalar functions."""
+    Every flat-symmetric F has this form: the unit matrices ``E_ij`` with
+    entries ``f_ij`` (``func_model.Opaque`` for a caller's callback).
+    """
 
     def __init__(self, terms):
         terms = [(as_real_operator(A), g) for A, g in terms]
@@ -197,7 +187,8 @@ class MatrixCoefficientFunction(OperatorFunction):
             if not isinstance(g, AnalyticScalar) or not g.symmetric:
                 raise ContractViolationError("scalar factors must be symmetric")
         self.terms = terms
-        self._dim = n
+        self.coeffs = np.array([A for A, _ in terms])
+        self.dim = n
 
     @classmethod
     def from_polynomial(cls, coeff_matrices):
@@ -214,53 +205,14 @@ class MatrixCoefficientFunction(OperatorFunction):
         """Scalar symmetric function acting as ``f * identity``."""
         return cls([(np.eye(dim), f)])
 
-    @property
-    def dim(self):
-        return self._dim
-
     def __call__(self, z):
-        coeffs, g = self.expand(np.asarray(z, dtype=complex))
-        return np.tensordot(g, coeffs, axes=(0, 0))
+        return np.tensordot(self.weights(np.asarray(z, dtype=complex)), self.coeffs, axes=(0, 0))
 
-    def expand(self, z):
-        weights = [np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape) for _, g in self.terms]
-        return np.array([A for A, _ in self.terms]), np.array(weights)
-
-
-class OpaqueOperatorFunction(OperatorFunction):
-    """Caller-supplied operator-valued map with asserted flat symmetry.
-
-    The symmetry is spot-checked at 32 conjugate pairs on the contour before
-    any integration uses it.
-    """
-
-    def __init__(self, fn, dim):
-        self.fn = fn
-        self._dim = int(dim)
-
-    @property
-    def dim(self):
-        return self._dim
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return np.asarray(self.fn(complex(z)), dtype=complex)
-        flat_vals = [np.asarray(self.fn(complex(w)), dtype=complex) for w in z.ravel()]
-        return np.asarray(flat_vals).reshape(z.shape + (self._dim, self._dim))
-
-
-def _spot_check_flat_symmetry(F, circles):
-    c = circles[0]
-    ang = 2.0 * np.pi * (np.arange(32) + 0.41) / 32.0
-    z = c.center + c.radius * np.exp(1j * ang)
-    vals = F(z)
-    refl = F(z.conjugate())
-    defect = float(np.max(np.abs(refl - vals.conj())))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if defect > 1e-8 * scale:
-        raise ContractViolationError(
-            f"operator function breaks flat symmetry on the contour (defect {defect:.3e})"
+    def weights(self, z):
+        """Complex weights ``g`` of shape ``(J,) + z.shape`` with
+        ``F(z) = sum_j g[j] A[j]`` for ``A = self.coeffs`` of shape ``(J, n, n)``."""
+        return np.array(
+            [np.broadcast_to(np.asarray(g(z), dtype=complex), z.shape) for _, g in self.terms]
         )
 
 
@@ -285,7 +237,7 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False):
     input, and the stall (an AccuracyWarning, ``converged`` false) is its
     failure.  A non-finite quadrature total raises NumericError.
 
-    With ``F = sum_j g_j A_j`` (``F.expand``) a circle's node sum is
+    With ``F = sum_j g_j A_j`` a circle's node sum is
     ``sum_j A_j S_j``, ``S_j = sum_k w_k g_j(z_k) (z_k - T)^-1``.  F is
     evaluated at every node; the resolvent is solved at the nodes with angles
     in ``[0, pi]`` of a real-centered circle, whose mirrors ``conj z`` take
@@ -300,10 +252,12 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False):
     else:
         gamma = contour
         _check_enclosed(complex_spectrum(T).eigenvalues, gamma.circles)
-    if isinstance(F, OpaqueOperatorFunction):
-        _spot_check_flat_symmetry(F, gamma.circles)
 
     eye = np.eye(n)
+    # ||A_j R_k|| <= sqrt(||A_j||_1 ||A_j||_inf) ||R_k||: a bound on each
+    # node's term that costs no product
+    mags = np.abs(F.coeffs)
+    a_norm = np.sqrt(mags.sum(axis=1).max(axis=1) * mags.sum(axis=2).max(axis=1))
 
     def circle_sum(circle, nodes, offset):
         # R(conj z) = conj R(z) for R(z) = (z - T)^-1: the mirrored nodes are
@@ -313,7 +267,7 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False):
         unit = np.exp(2j * np.pi * (np.arange(solved) + offset) / nodes)
         z, w = circle.center + circle.radius * unit, circle.radius * unit
         mirrored = slice(int(offset == 0.0), nodes // 2 if folded else 0)
-        coeffs, g = F.expand(np.concatenate((z, z[mirrored].conj())))
+        g = F.weights(np.concatenate((z, z[mirrored].conj())))
         a = g[:, :solved] * w
         b = np.zeros_like(a)
         b[:, mirrored] = g[:, solved:] * w[mirrored].conj()
@@ -326,12 +280,8 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False):
         parts = np.concatenate((plus.real, plus.imag, minus.real, minus.imag)) @ R.view(float)
         pr, pi, mr, mi = parts.reshape(4, -1, n, n, 2)
         S = pr[..., 0] - mi[..., 1] + 1j * (pi[..., 0] + mr[..., 1])
-        # ||A_j R_k|| <= sqrt(||A_j||_1 ||A_j||_inf) ||R_k||: a bound on each
-        # node's term that costs no product
-        mags = np.abs(coeffs)
-        a_norm = np.sqrt(mags.sum(axis=1).max(axis=1) * mags.sum(axis=2).max(axis=1))
         magnitude = a_norm @ (np.abs(a) + np.abs(b)) @ np.linalg.norm(R, axis=1)
-        return np.tensordot(coeffs, S, axes=([0, 2], [0, 1])), float(magnitude)
+        return np.tensordot(F.coeffs, S, axes=([0, 2], [0, 1])), float(magnitude)
 
     value, diag = _trapezoid_doubling(circle_sum, gamma.circles, cfg)
     scale = max(1.0, float(np.linalg.norm(value)))

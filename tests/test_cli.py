@@ -40,7 +40,7 @@ def test_eval_exp_contour_vs_series(capsys):
         "quaternion": [0, 1, 0, 0],
         "method": "contour",
     }
-    code, out = run_cli(capsys, "eval", doc, "--nodes", "64")
+    code, out = run_cli(capsys, "eval", doc)
     assert code == 0
     result = json.loads(out)["result"]
     value = np.array([[as_complex(v) for v in row] for row in result["value"]])
@@ -217,8 +217,8 @@ def test_joint_calc_computes_the_spectrum_once(capsys, monkeypatch):
 
 def test_determinism(capsys):
     doc = {"function": {"kind": "scalar", "f": {"kind": "sin"}}, "quaternion": [0.3, 1, 0, 0]}
-    _, out1 = run_cli(capsys, "eval", doc, "--nodes", "64")
-    _, out2 = run_cli(capsys, "eval", doc, "--nodes", "64")
+    _, out1 = run_cli(capsys, "eval", doc)
+    _, out2 = run_cli(capsys, "eval", doc)
     assert out1 == out2
 
 
@@ -251,7 +251,7 @@ def test_parse_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["frobnicate"], ["spectrum", "--nodes", "abc"], ["spectrum", "--bogus"]]
+    "argv", [[], ["frobnicate"], ["spectrum", "--grid-res", "abc"], ["spectrum", "--bogus"]]
 )
 def test_usage_error_exits_1(capsys, argv):
     assert cli.run(argv) == 1
@@ -288,6 +288,32 @@ def test_non_finite_option_exits_1(capsys, command, doc, flag, value):
 def test_degenerate_fd_step_exits_1(capsys, kind, step):
     fdoc = {"kind": kind} if kind == "star-involution" else STEM_EXP["function"]
     code, out = run_cli(capsys, "slice-check", {"function": fdoc}, "--fd-step", step)
+    assert code == 1
+    assert out == ""
+
+
+JOINT_DOC = {
+    "matrix1": [[1.0, 0.0], [0.0, 2.0]],
+    "matrix2": [[3.0, 0.0], [0.0, 4.0]],
+    "function": {"kind": "poly2", "coeffs": [[{"re": 1, "im": 0}]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("deriv", dict(STEM_EXP, quaternion=[0, 1, 0, 0], order="x")),
+        ("deriv", dict(STEM_EXP, quaternion=[0, 1, 0, 0], order=1.5)),
+        ("deriv", dict(STEM_EXP, quaternion=[0, 1, 0, 0], order=True)),
+        ("slice-check", dict(STEM_EXP, grid={"points": "many"})),
+        ("slice-check", dict(STEM_EXP, grid={"directions": 2.5})),
+        ("slice-check", dict(STEM_EXP, grid={"seed": "x"})),
+        ("joint-calc", dict(JOINT_DOC, sphere={"center": ["a", 0.0], "radius": 4.0})),
+        ("joint-calc", dict(JOINT_DOC, sphere={"center": [2.0, 3.0], "radius": "big"})),
+    ],
+)
+def test_malformed_number_field_exits_1(capsys, command, doc):
+    code, out = run_cli(capsys, command, doc)
     assert code == 1
     assert out == ""
 
@@ -370,7 +396,7 @@ EXP_STALL = {"function": {"kind": "scalar", "f": {"kind": "exp"}}, "quaternion":
             "op-calc",
             {"matrix": [[1.0, 2.0], [-2.0, 1.0]],
              "function": {"kind": "op-scalar", "f": {"kind": "exp"}}},
-            ("--tol", "1e-30", "--nodes", "16"),
+            ("--tol", "1e-30"),
         ),
     ],
 )

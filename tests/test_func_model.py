@@ -41,6 +41,29 @@ def test_affine_sum_product_symmetry():
     assert abs(h.derivative()(z) - want_d) < 1e-13
 
 
+def _tree_size(f):
+    parts = getattr(f, "parts", ())
+    body = [f.body] if isinstance(f, qc.AffineArg) else []
+    return 1 + sum(_tree_size(p) for p in (*parts, *body))
+
+
+@pytest.mark.parametrize(
+    "f, want",
+    [
+        (qc.Cos(), np.cos),
+        (qc.AffineArg(2.0, 0.0, qc.Exp()), lambda z: 2.0**16 * np.exp(2.0 * z)),
+    ],
+)
+def test_repeated_derivatives_stay_small(f, want):
+    # the product rule's term for a constant factor is zero and is dropped,
+    # so the tree grows linearly with the order instead of doubling
+    for _ in range(16):
+        f = f.derivative()
+    assert _tree_size(f) < 200
+    z = np.array([0.3 + 0.7j, -1.2 + 0.1j, 2.0])
+    np.testing.assert_allclose(f(z), want(z), rtol=1e-13)
+
+
 def test_opaque_spot_check():
     ok = qc.Opaque(lambda z: z ** 2 + 1, symmetric=True)
     assert ok.symmetric

@@ -1,6 +1,6 @@
 """Property tests of the quaternion algebra over finite bounded components,
-of the operator calculus on real polynomials, and of the contour route
-against the closed spectral form."""
+of the operator calculus on real polynomials and on quaternionic-linear
+operators, and of the contour route against the closed spectral form."""
 
 import warnings
 
@@ -123,3 +123,29 @@ def test_contour_and_spectral_routes_agree_from_the_default_start(F, q, margin, 
         warnings.simplefilter("error", qc.AccuracyWarning)
         got = qc.cauchy_derivative(F, order, q, gamma)
     assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+
+
+def _right_mult_matrix(b):
+    """Real 4x4 matrix of ``x -> x b`` on the basis (I, J, K, L)."""
+    return np.array([(e * b).components for e in (qc.I, qc.J, qc.K, qc.L)]).T
+
+
+quaternion_matrices = st.integers(1, 4).flatmap(
+    lambda n: arrays(float, (n, n, 4), elements=entries)
+)
+
+
+@settings(max_examples=60)
+@given(quaternion_matrices)
+def test_quaternionic_linear_operators_keep_their_symmetry(A):
+    # T = [left_mult_matrix(A_ij)] acts on H^n = R^(4n) and commutes with
+    # right multiplication by every quaternion; so does exp(T), and each
+    # eigenvalue of T appears with even multiplicity
+    n = A.shape[0]
+    T = np.block([[qc.left_mult_matrix(qc.make_quaternion(*A[i, j])) for j in range(n)]
+                  for i in range(n)])
+    value = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 4 * n), T)
+    for b in (qc.J, qc.K, qc.L):
+        R = np.kron(np.eye(n), _right_mult_matrix(b))
+        assert np.linalg.norm(value @ R - R @ value) <= 1e-10 * np.linalg.norm(value)
+    assert all(m % 2 == 0 for _, m in qc.complex_spectrum(T).pairs)

@@ -135,6 +135,15 @@ def test_complex_spectrum_examples():
     assert_pairs_close(rep.pairs, ((-1 + 0j, 1), (3 + 0j, 1)))
 
 
+def test_complex_spectrum_keeps_a_cluster_around_an_interleaved_pair():
+    # 1e-17 +/- i sorts between the members of the real cluster at 0
+    T = np.zeros((5, 5))
+    T[:2, :2] = rotation_block(1e-17, 1.0)
+    T[2:, 2:] = np.diag([-2e-17, 0.0, 3e-17])
+    rep = qc.complex_spectrum(T)
+    assert_pairs_close(rep.pairs, ((0j, 3), (1j, 1)))
+
+
 def test_complex_spectrum_margin_cross_check(rng):
     # both directions: eigenvalues sit in the margin zero set, and points
     # with clearance from every eigenvalue have visibly positive margin
@@ -254,14 +263,14 @@ def test_op_calculus_module_property(rng):
 
 def test_op_calculus_rejects_asymmetric_function(rng):
     T = rng.standard_normal((2, 2))
-    bad = qc.OpaqueOperatorFunction(lambda z: z * 1j * np.eye(2), 2)
     with pytest.raises(qc.ContractViolationError):
+        bad = qc.MatrixCoefficientFunction.from_scalar(qc.Polynomial([0, 1j]), 2)
         qc.op_calculus(bad, T)
 
 
 def test_op_calculus_opaque_symmetric(rng):
     T = rotation_block(0.3, 0.8)
-    good = qc.OpaqueOperatorFunction(lambda z: np.exp(z) * np.eye(2), 2)
+    good = qc.MatrixCoefficientFunction.from_scalar(qc.Opaque(np.exp, symmetric=True), 2)
     np.testing.assert_allclose(
         qc.op_calculus(good, T), ex2_closed_form(np.exp, 0.3, 0.8).real, atol=1e-8
     )
@@ -302,6 +311,19 @@ def _rotation_3x3():
     return T
 
 
+def _unit_matrix_exp(n):
+    """``exp(z) I`` as the ``n^2`` unit-matrix terms of a caller's entrywise
+    callback, ``exp`` on the diagonal and zero elsewhere."""
+    terms = []
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n))
+            unit[i, j] = 1.0
+            entry = np.exp if i == j else (lambda z: 0.0)
+            terms.append((unit, qc.Opaque(entry, symmetric=True)))
+    return qc.MatrixCoefficientFunction(terms)
+
+
 def _fold_cases():
     rng = np.random.default_rng(31)
     T3 = _rotation_3x3()
@@ -320,7 +342,7 @@ def _fold_cases():
         "off-axis-contour": (
             qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 2), rotation_block(1.0, 2.0), off_axis
         ),
-        "opaque-exp": (qc.OpaqueOperatorFunction(lambda z: np.exp(z) * np.eye(3), 3), T3, None),
+        "opaque-exp": (_unit_matrix_exp(3), T3, None),
     }
 
 
