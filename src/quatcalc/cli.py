@@ -8,8 +8,9 @@ the parsed inputs, so a run is reproducible from its own output; identical
 inputs produce identical output bytes.
 
 Exit codes: 0 success (``--help`` included), 1 parse error (a malformed
-document, a field such as ``order`` that is not a number of the right kind,
-or a usage error such as an unknown command, a non-finite ``--tol``,
+document, a number field that is not a finite JSON number of the right kind
+-- booleans and strings are not numbers --, a ``deriv`` order above 170, or
+a usage error such as an unknown command, a non-finite ``--tol``,
 ``--margin`` or ``--fd-step``, or an ``--fd-step`` that is not positive or
 rounds away at a sample point), 2 domain/geometry/contract error or a
 non-finite result, 3 accuracy error (including a quadrature that
@@ -74,6 +75,10 @@ from . import (
     zero_set_contains,
 )
 
+#: Largest ``deriv`` order: the largest k with k! finite in double precision.
+_MAX_DERIV_ORDER = 170
+
+
 class ParseError(ValueError):
     pass
 
@@ -93,7 +98,7 @@ def _c_out(z):
 
 def _c_in(doc):
     try:
-        return complex(float(doc["re"]), float(doc["im"]))
+        return complex(_number_in(doc["re"]), _number_in(doc["im"]))
     except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"expected a complex record {{re, im}}, got {doc!r}") from exc
 
@@ -107,7 +112,7 @@ def _mat_out(a):
 
 def _quat_in(doc):
     try:
-        x0, x1, x2, x3 = (float(v) for v in doc)
+        x0, x1, x2, x3 = (_number_in(v) for v in doc)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"expected a quaternion [x0, x1, x2, x3], got {doc!r}") from exc
     return make_quaternion(x0, x1, x2, x3)
@@ -118,11 +123,21 @@ def _quat_out(q):
 
 
 def _number_in(doc, integral=False):
-    """A finite JSON number, and with ``integral`` a whole one, as int."""
-    if isinstance(doc, bool) or not isinstance(doc, (int, float)) or not math.isfinite(doc):
+    """A finite JSON number, and with ``integral`` a whole one, as int.
+
+    Booleans and strings are not numbers, and neither is an integer
+    literal too large for a float.
+    """
+    if isinstance(doc, bool) or not isinstance(doc, (int, float)):
+        raise ParseError(f"expected a finite number, got {doc!r}")
+    try:
+        value = float(doc)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
         raise ParseError(f"expected a finite number, got {doc!r}")
     if not integral:
-        return float(doc)
+        return value
     if doc != int(doc):
         raise ParseError(f"expected an integer, got {doc!r}")
     return int(doc)
@@ -130,7 +145,7 @@ def _number_in(doc, integral=False):
 
 def _real_matrix_in(doc):
     try:
-        m = np.asarray(doc, dtype=float)
+        m = np.array([[_number_in(v) for v in row] for row in doc], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"expected a real matrix, got {doc!r}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -164,7 +179,7 @@ def _domain_in(doc):
     if doc is None:
         return None
     try:
-        return SymmetricDomain([(_c_in(d["center"]), float(d["radius"])) for d in doc])
+        return SymmetricDomain([(_c_in(d["center"]), _number_in(d["radius"])) for d in doc])
     except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"bad domain specification {doc!r}") from exc
 
@@ -300,8 +315,8 @@ def _run_eval(doc, args):
 
 def _run_deriv(doc, args):
     order = _number_in(doc.get("order", 1), integral=True)
-    if order < 0:
-        raise ParseError("order must be >= 0")
+    if not 0 <= order <= _MAX_DERIV_ORDER:
+        raise ParseError(f"order must be in 0..{_MAX_DERIV_ORDER}, got {order}")
     return _eval_common(doc, args, order)
 
 

@@ -7,9 +7,12 @@ invertibility of the real pencil ``T^2 - 2 Re(q) T + norm(q)^2``, reported
 as a normalized smallest singular value so callers pick their own
 thresholds.  The analytic calculus integrates ``F(z)(z - T)^-1`` over
 conjugate-symmetric circles and restricts to the real subspace after a
-flat-invariance check.  It solves ``(z - T)^-1`` only on the upper half of
-a real-centered circle (the conjugates give the lower half, as T is real)
-and contracts the resolvents with the scalar weights of F's terms.
+flat-invariance check.  By default the circles keep a clearance of
+``max(1.0, 0.05 * spectral radius)`` from the spectrum, so F must be
+analytic that far beyond it; the closed scalar family is entire.  It
+solves ``(z - T)^-1`` only on the upper half of a real-centered circle
+(the conjugates give the lower half, as T is real) and contracts the
+resolvents with the scalar weights of F's terms.
 """
 
 from __future__ import annotations
@@ -38,6 +41,12 @@ _DEFAULT_EIG_CAP = 64
 #: tolerances, relative to the spectral radius and to the value's norm.
 _PAIR_REL_TOL = 1e-8
 _FLAT_REL_TOL = 1e-8
+
+#: Least clearance of the default contour.  The trapezoid error on a circle
+#: of radius ``rho + delta`` about a cluster of reach ``rho`` falls like
+#: ``(rho / (rho + delta))^N``, so at ``delta >= rho`` it halves per node;
+#: and about a k-fold eigenvalue the resolvent stays ``O(delta^-k)``.
+_MIN_CLEARANCE = 1.0
 
 
 def as_real_operator(T):
@@ -218,10 +227,17 @@ class MatrixCoefficientFunction:
 
 def operator_contour(T):
     """Real-centered circles covering the eigenvalue clusters of ``T`` with
-    clearance ``max(0.1, 0.05 * spectral radius)``, checked to hold every
-    eigenvalue strictly inside."""
+    clearance ``max(1.0, 0.05 * spectral radius)``, checked to hold every
+    eigenvalue strictly inside.
+
+    The disks these circles bound reach that far past the spectrum, so a
+    function integrated on them must be analytic there.  The closed scalar
+    family (polynomials, exp, sin, cos, and their affine changes, sums and
+    products) is entire, as a stem with ``domain is None`` is taken to be;
+    for any other function pass ``op_calculus(..., contour=...)``.
+    """
     eigs = [complex(v) for v in complex_spectrum(T).eigenvalues]
-    clearance = max(0.1, 0.05 * max(abs(v) for v in eigs))
+    clearance = max(_MIN_CLEARANCE, 0.05 * max(abs(v) for v in eigs))
     circles = enclosing_circles(eigs, clearance, real_centers=True)
     _check_enclosed(eigs, circles)
     return Contour(tuple(circles))
@@ -230,8 +246,10 @@ def operator_contour(T):
 def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False):
     """Analytic calculus ``F(T)`` for a flat-symmetric operator function.
 
-    Integrates ``F(z)(z - T_C)^-1`` over real-centered circles around the
-    spectrum with node doubling, checks flat invariance of a converged value
+    Integrates ``F(z)(z - T_C)^-1`` with node doubling over ``contour``, or
+    by default over ``operator_contour(T)``: real-centered circles at least
+    1.0 (and 5% of the spectral radius) clear of every eigenvalue, on whose
+    disks F must be analytic.  It checks flat invariance of a converged value
     to 1e-8 times its scale, and returns the real restriction.  A stalled
     value is not checked: its rounding noise can exceed 1e-8 on a symmetric
     input, and the stall (an AccuracyWarning, ``converged`` false) is its

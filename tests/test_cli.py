@@ -310,12 +310,48 @@ JOINT_DOC = {
         ("slice-check", dict(STEM_EXP, grid={"seed": "x"})),
         ("joint-calc", dict(JOINT_DOC, sphere={"center": ["a", 0.0], "radius": 4.0})),
         ("joint-calc", dict(JOINT_DOC, sphere={"center": [2.0, 3.0], "radius": "big"})),
+        # booleans, numeric strings and integers beyond float range are no
+        # numbers in quaternions, complex records, matrices or domain radii
+        ("spectrum", {"quaternion": [True, "1", 0, 0]}),
+        ("spectrum", {"quaternion": [10**400, 0, 0, 0]}),
+        ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0], domain=[
+            {"center": {"re": "0", "im": 0}, "radius": 5.0}])),
+        ("stem-check", dict(STEM_EXP, samples=[{"re": True, "im": 0.5}])),
+        ("op-spectrum", {"matrix": [["1", "2"], [True, "4"]]}),
+        ("op-spectrum", {"matrix": [[1.0, 2.0], [False, 4.0]]}),
+        ("op-calc", {"matrix": [[1.0, "2"], [-2.0, 1.0]],
+                     "function": {"kind": "op-scalar", "f": {"kind": "exp"}}}),
+        ("joint-spectrum", dict(JOINT_DOC, matrix2=[[3.0, 0.0], [0.0, True]])),
+        ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0], domain=[
+            {"center": {"re": 0, "im": 0}, "radius": "5"}])),
+        ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0], domain=[
+            {"center": {"re": 0, "im": 0}, "radius": True}])),
     ],
 )
 def test_malformed_number_field_exits_1(capsys, command, doc):
     code, out = run_cli(capsys, command, doc)
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("order", [171, 100_000_000])
+def test_deriv_order_above_170_exits_1_before_differentiating(capsys, monkeypatch, order):
+    def no_derivative(self):
+        raise AssertionError("differentiated a rejected order")
+
+    monkeypatch.setattr(cli.ScalarStem, "derivative", no_derivative)
+    doc = dict(STEM_EXP, quaternion=[0, 1, 0, 0], method="spectral", order=order)
+    code, out = run_cli(capsys, "deriv", doc)
+    assert code == 1
+    assert out == ""
+
+
+def test_deriv_order_170_is_accepted(capsys):
+    doc = dict(STEM_EXP, quaternion=[0, 1, 0, 0], method="spectral", order=170)
+    code, out = run_cli(capsys, "deriv", doc)
+    assert code == 0
+    value = json.loads(out)["result"]["value"]
+    assert as_complex(value[0][0]) == pytest.approx(np.exp(1j), abs=1e-12)
 
 
 def test_domain_error_exit_code(capsys):

@@ -428,9 +428,9 @@ def test_sine_of_non_normal_triangular_matrices(seed):
 
 @pytest.mark.parametrize("lam", np.arange(-3.0, 3.01, 0.5))
 def test_exp_of_jordan_block_stops_at_its_rounding_floor(lam):
-    # the circle about the 8-fold eigenvalue has radius 0.1-0.15, so the
-    # resolvent reaches 1e8 on it: the changes between levels are rounding
-    # noise from the first level on, at about the floor the driver estimates
+    # the circle about the 8-fold eigenvalue has radius 1.0-1.15, so the
+    # resolvent stays O(1) per order on it and the driver converges within
+    # its first decision levels, far below these bounds
     import scipy.linalg
 
     T = lam * np.eye(8) + np.diag(np.ones(7), 1)
@@ -450,10 +450,41 @@ def test_stall_on_a_twelve_fold_eigenvalue_is_reported_as_a_stall():
     # which is no evidence against the symmetric input
     T = np.eye(12) + np.diag(np.ones(11), 1)
     F = qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 12)
+    tight = qc.Contour((qc.Circle(1.0, 0.1),))
     with pytest.warns(qc.AccuracyWarning):
-        value, diag, flat_defect = qc.op_calculus(F, T, return_diagnostics=True)
+        value, diag, flat_defect = qc.op_calculus(F, T, contour=tight, return_diagnostics=True)
     assert not diag.converged
     assert flat_defect > 1e-8 * np.linalg.norm(value)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("scalar, reference", [("Exp", "expm"), ("Sin", "sinm")])
+def test_default_contour_converges_on_large_jordan_blocks(scalar, reference, lam, n):
+    # a clearance of 1.0 keeps the resolvent about the n-fold eigenvalue
+    # O(1) per order; at 0.1 it reached 1e10-1e12 and these jobs stalled
+    import scipy.linalg
+
+    T = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+    F = qc.MatrixCoefficientFunction.from_scalar(getattr(qc, scalar)(), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", qc.AccuracyWarning)
+        got, diag, _ = qc.op_calculus(F, T, return_diagnostics=True)
+    want = getattr(scipy.linalg, reference)(T)
+    assert diag.converged and diag.nodes_per_circle <= 128
+    assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+
+def test_default_contour_keeps_every_eigenvalue_one_inside(rng):
+    for n in (2, 3, 5, 8, 13, 21):
+        for scale in (0.1, 1.0, 3.0):
+            T = scale * rng.standard_normal((n, n))
+            eigs = np.linalg.eigvals(T)
+            assert np.max(np.abs(eigs)) < 20.0
+            circles = qc.operator_contour(T).circles
+            for s in eigs:
+                depth = max(c.radius - abs(s - c.center) for c in circles)
+                assert depth >= 1.0 - 1e-9
 
 
 # ---------------------------------------------------------------------------
