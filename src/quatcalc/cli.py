@@ -1,21 +1,24 @@
 """Command-line front end.
 
 One JSON document goes in (stdin or ``--input``), one comes out (stdout or
-``--output``).  Complex numbers are always two-field records ``{"re": x,
-"im": y}``, quaternions are four-element real arrays ``[x0, x1, x2, x3]``
-along (I, J, K, L), and matrices are row-major nested arrays.  Outputs echo
-the parsed inputs, so a run is reproducible from its own output; identical
-inputs produce identical output bytes.
+``--output``) as a single line of compact JSON with sorted keys; pipe it to
+``python -m json.tool`` to read it.  Complex numbers are always two-field
+records ``{"re": x, "im": y}``, quaternions are four-element real arrays
+``[x0, x1, x2, x3]`` along (I, J, K, L), and matrices are row-major nested
+arrays.  Outputs echo the parsed inputs, so a run is reproducible from its
+own output; identical inputs produce identical output bytes.
 
 Exit codes: 0 success (``--help`` included), 1 parse error (a malformed
 document, a number field that is not a finite JSON number of the right kind
 -- booleans and strings are not numbers --, a ``deriv`` order above 170, or
 a usage error such as an unknown command, a non-finite ``--tol``,
-``--margin`` or ``--fd-step``, or an ``--fd-step`` that is not positive or
-rounds away at a sample point), 2 domain/geometry/contract error or a
-non-finite result, 3 accuracy error (including a quadrature that
-stalls before its tolerance: a rounding floor far above it, or the node
-cap).  Nothing is written to the output on a nonzero exit.
+``--margin`` or ``--fd-step``, an ``--fd-step`` that is not positive or
+rounds away at a sample point, or a ``--grid-res`` above 256) or output
+error (an ``--output`` path that cannot be written), 2
+domain/geometry/contract error or a non-finite result, 3 accuracy error
+(including a quadrature that stalls before its tolerance: a rounding floor
+far above it, or the node cap).  Nothing is written to the output on a
+nonzero exit.
 """
 
 from __future__ import annotations
@@ -78,6 +81,10 @@ from . import (
 #: Largest ``deriv`` order: the largest k with k! finite in double precision.
 _MAX_DERIV_ORDER = 170
 
+#: Largest ``--grid-res``.  The surface integral's cost grows as the cube of
+#: the resolution: a 2x2 pair takes 0.6 s at 128 and 3.6 s at 256 on 2 vCPUs.
+_MAX_GRID_RES = 256
+
 
 class ParseError(ValueError):
     pass
@@ -107,7 +114,7 @@ def _mat_out(a):
     a = np.asarray(a)
     if np.iscomplexobj(a):
         return [[_c_out(v) for v in row] for row in a.tolist()]
-    return [[float(v) for v in row] for row in a.tolist()]
+    return a.tolist()
 
 
 def _quat_in(doc):
@@ -470,6 +477,14 @@ def _finite_float(text):
     return value
 
 
+def _grid_res(text):
+    """Option type for ``--grid-res``: an integer at most ``_MAX_GRID_RES``."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value > _MAX_GRID_RES:
+        raise argparse.ArgumentTypeError(f"at most {_MAX_GRID_RES}, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quatcalc",
@@ -480,7 +495,8 @@ def build_parser():
     parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--tol", type=_finite_float, default=1e-10, help="tolerance / check threshold")
     parser.add_argument("--fd-step", type=_finite_float, default=1e-4, help="finite-difference step")
-    parser.add_argument("--grid-res", type=int, default=48, help="sphere grid resolution per angle")
+    parser.add_argument("--grid-res", type=_grid_res, default=48,
+                        help=f"sphere grid resolution per angle (at most {_MAX_GRID_RES})")
     parser.add_argument("--margin", type=_finite_float, default=0.25, help="contour/sphere clearance margin")
     parser.add_argument(
         "--emit-samples", action="store_true", help="include evaluation grids in the output"
@@ -488,11 +504,14 @@ def build_parser():
     return parser
 
 
+#: Built once per process; ``parse_args`` leaves it unchanged, so jobs share it.
+_PARSER = build_parser()
+
+
 def run(argv):
     """Parse, dispatch, and write one job; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, which is a
         # parse error here; 2 is the code for domain errors
@@ -526,15 +545,21 @@ def run(argv):
 
     out_doc = {"command": args.command, "inputs": doc, "result": result}
     try:
-        payload = json.dumps(out_doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        payload = json.dumps(
+            out_doc, sort_keys=True, allow_nan=False, separators=(",", ":")
+        ) + "\n"
     except ValueError as exc:
         print(f"domain error: non-finite number in the output ({exc})", file=sys.stderr)
         return 2
-    if args.output:
+    if not args.output:
+        sys.stdout.write(payload)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from quatcalc import CommutingPair, QuaternionPolynomial, make_quaternion
+from quatcalc import (
+    CommutingPair,
+    I,
+    J,
+    K,
+    L,
+    QuaternionPolynomial,
+    left_mult_matrix,
+    make_quaternion,
+)
 
 # Wall time varies too much between runs for a per-example deadline; fixed
 # seeds keep property runs reproducible and write no example database.
@@ -31,6 +40,19 @@ def random_commuting_pair(rng, n=2, scale=1.0):
     d2 = np.diag(scale * rng.standard_normal(n))
     inv = np.linalg.inv(S)
     return CommutingPair(S @ d1 @ inv, S @ d2 @ inv), (np.diag(d1), np.diag(d2))
+
+
+def quaternionic_operator(A):
+    """Real ``4n x 4n`` matrix ``[left_mult_matrix(A_ij)]`` of ``A`` in H^(n x n),
+    given as an ``(n, n, 4)`` array of components; it acts on H^n = R^(4n)."""
+    n = A.shape[0]
+    return np.block([[left_mult_matrix(make_quaternion(*A[i, j])) for j in range(n)]
+                     for i in range(n)])
+
+
+def right_mult_matrix(b):
+    """Real 4x4 matrix of ``x -> x b`` on the basis (I, J, K, L)."""
+    return np.array([(e * b).components for e in (I, J, K, L)]).T
 
 
 def quat_close(p, q, tol=1e-12):

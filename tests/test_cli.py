@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from quatcalc import AccuracyWarning, cli
+from quatcalc import AccuracyWarning, J, K, L, cli
+
+from conftest import quaternionic_operator, right_mult_matrix
 
 
 def run_cli(capsys, command, doc, *flags):
@@ -263,6 +265,33 @@ def test_help_exits_0(capsys):
     assert "usage: quatcalc" in capsys.readouterr().out
 
 
+def test_jobs_share_one_parser_and_write_one_line(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    doc = {"function": {"kind": "scalar", "f": {"kind": "sin"}}, "quaternion": [0.3, 1, 0, 0]}
+    code1, out1 = run_cli(capsys, "eval", doc)
+    assert cli.run(["eval", "--bogus"]) == 1
+    assert capsys.readouterr().out == ""
+    assert cli.run(["--help"]) == 0
+    assert "usage: quatcalc" in capsys.readouterr().out
+    code2, out2 = run_cli(capsys, "eval", doc)
+    assert (code1, code2) == (0, 0)
+    assert out1 == out2
+    assert built == []
+    for out in (out1, out2):
+        assert out.count("\n") == 1 and out.endswith("\n")
+        want = json.dumps(json.loads(out), sort_keys=True, allow_nan=False, separators=(",", ":"))
+        assert out == want + "\n"
+
+
 STEM_EXP = {"function": {"kind": "scalar", "f": {"kind": "exp"}}}
 
 
@@ -354,6 +383,43 @@ def test_deriv_order_170_is_accepted(capsys):
     assert as_complex(value[0][0]) == pytest.approx(np.exp(1j), abs=1e-12)
 
 
+def test_grid_res_above_256_exits_1_before_any_work(capsys, monkeypatch):
+    def no_pair(*args):
+        raise AssertionError("built a pair for a rejected --grid-res")
+
+    monkeypatch.setattr(cli, "CommutingPair", no_pair)
+    code, out = run_cli(capsys, "joint-calc", JOINT_DOC, "--grid-res", "258")
+    assert code == 1
+    assert out == ""
+
+
+def test_grid_res_256_is_accepted(capsys):
+    code, out = run_cli(capsys, "joint-calc", JOINT_DOC, "--grid-res", "256", "--margin", "1.0")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["diagnostics"]["nodes"] > 0
+    np.testing.assert_allclose(np.array(result["value"]), np.eye(2), atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quaternionic_operator_keeps_its_symmetry_through_the_cli(capsys, rng, n):
+    # T = [left_mult_matrix(A_ij)] commutes with right multiplication by
+    # every quaternion: each eigenvalue pair is even, and exp(T) commutes too
+    T = quaternionic_operator(rng.uniform(-1.0, 1.0, (n, n, 4)))
+    code, out = run_cli(capsys, "op-spectrum", {"matrix": T.tolist()})
+    assert code == 0
+    pairs = json.loads(out)["result"]["pairs"]
+    assert pairs and all(p["multiplicity"] % 2 == 0 for p in pairs)
+
+    doc = {"matrix": T.tolist(), "function": {"kind": "op-scalar", "f": {"kind": "exp"}}}
+    code, out = run_cli(capsys, "op-calc", doc)
+    assert code == 0
+    value = np.array(json.loads(out)["result"]["value"])
+    for b in (J, K, L):
+        R = np.kron(np.eye(n), right_mult_matrix(b))
+        assert np.linalg.norm(value @ R - R @ value) <= 1e-10 * np.linalg.norm(value)
+
+
 def test_domain_error_exit_code(capsys):
     doc = {
         "function": {"kind": "scalar", "f": {"kind": "exp"}},
@@ -384,6 +450,17 @@ def test_file_io(tmp_path, capsys):
     assert code == 0
     doc = json.loads(outp.read_text())
     assert as_complex(doc["result"]["s_plus"]) == 1.0
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    inp = tmp_path / "job.json"
+    outp = tmp_path / "missing" / "result.json"
+    inp.write_text(json.dumps({"quaternion": [1, 0, 0, 0]}))
+    assert cli.run(["spectrum", "--input", str(inp), "--output", str(outp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output error:")
+    assert not outp.exists()
 
 
 def test_module_entry_point(tmp_path):

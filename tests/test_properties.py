@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 import quatcalc as qc
 
+from conftest import quaternionic_operator, right_mult_matrix
+
 components = st.floats(min_value=-1e3, max_value=1e3)
 quaternions = st.builds(qc.make_quaternion, components, components, components, components)
 matrices = st.lists(components, min_size=8, max_size=8).map(
@@ -125,11 +127,6 @@ def test_contour_and_spectral_routes_agree_from_the_default_start(F, q, margin, 
     assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
-def _right_mult_matrix(b):
-    """Real 4x4 matrix of ``x -> x b`` on the basis (I, J, K, L)."""
-    return np.array([(e * b).components for e in (qc.I, qc.J, qc.K, qc.L)]).T
-
-
 quaternion_matrices = st.integers(1, 4).flatmap(
     lambda n: arrays(float, (n, n, 4), elements=entries)
 )
@@ -142,10 +139,9 @@ def test_quaternionic_linear_operators_keep_their_symmetry(A):
     # right multiplication by every quaternion; so does exp(T), and each
     # eigenvalue of T appears with even multiplicity
     n = A.shape[0]
-    T = np.block([[qc.left_mult_matrix(qc.make_quaternion(*A[i, j])) for j in range(n)]
-                  for i in range(n)])
+    T = quaternionic_operator(A)
     value = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 4 * n), T)
     for b in (qc.J, qc.K, qc.L):
-        R = np.kron(np.eye(n), _right_mult_matrix(b))
+        R = np.kron(np.eye(n), right_mult_matrix(b))
         assert np.linalg.norm(value @ R - R @ value) <= 1e-10 * np.linalg.norm(value)
     assert all(m % 2 == 0 for _, m in qc.complex_spectrum(T).pairs)
