@@ -87,6 +87,7 @@ from .slice_check import (
     circularization_contains_axial,
     dbar_s,
     extend_from_slice,
+    quaternionwise,
     slice_regularity_report,
     spectral_evaluator,
     split_slice,

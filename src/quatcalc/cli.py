@@ -10,12 +10,15 @@ own output; identical inputs produce identical output bytes.
 
 Exit codes: 0 success (``--help`` included), 1 parse error (a malformed
 document, a number field that is not a finite JSON number of the right kind
--- booleans and strings are not numbers --, a ``deriv`` order above 170, or
-a usage error such as an unknown command, a non-finite ``--tol``,
-``--margin`` or ``--fd-step``, an ``--fd-step`` that is not positive or
-rounds away at a sample point, or a ``--grid-res`` above 256) or output
-error (an ``--output`` path that cannot be written), 2
-domain/geometry/contract error or a non-finite result, 3 accuracy error
+-- booleans and strings are not numbers --, a document nested too deep to
+decode, a scalar function nested deeper than 64, a ``deriv`` order above
+170, a ``slice-check`` ``grid.points`` or ``grid.directions`` above 10,000,
+a ``mult-op`` of more than 256 quaternions, or a usage error such as an
+unknown command, a non-finite ``--tol``, ``--margin`` or ``--fd-step``, an
+``--fd-step`` that is not positive or rounds away at a sample point, or a
+``--grid-res`` above 256) or output error (an ``--output`` path that cannot
+be written), 2 domain/geometry/contract error or a non-finite result
+(including a non-finite ``slice-check`` stencil value), 3 accuracy error
 (including a quadrature that stalls before its tolerance: a rounding floor
 far above it, or the node cap).  Nothing is written to the output on a
 nonzero exit.
@@ -84,6 +87,17 @@ _MAX_DERIV_ORDER = 170
 #: Largest ``--grid-res``.  The surface integral's cost grows as the cube of
 #: the resolution: a 2x2 pair takes 0.6 s at 128 and 3.6 s at 256 on 2 vCPUs.
 _MAX_GRID_RES = 256
+
+#: Largest ``slice-check`` ``grid.points`` and ``grid.directions``; 10,000
+#: points take about 0.5 s.
+_MAX_SLICE_POINTS = 10_000
+
+#: Most quaternions in ``mult-op``; its dense real matrix has side 4 times
+#: the count (256 quaternions: 0.7 s).
+_MAX_MULT_OP_QUATERNIONS = 256
+
+#: Deepest nesting of a scalar function document (a bare ``exp`` has depth 1).
+_MAX_FUNCTION_DEPTH = 64
 
 
 class ParseError(ValueError):
@@ -160,7 +174,9 @@ def _real_matrix_in(doc):
     return m
 
 
-def _scalar_in(doc):
+def _scalar_in(doc, depth=1):
+    if depth > _MAX_FUNCTION_DEPTH:
+        raise ParseError(f"scalar function nested deeper than {_MAX_FUNCTION_DEPTH}")
     try:
         kind = doc["kind"]
     except (TypeError, KeyError) as exc:
@@ -174,11 +190,13 @@ def _scalar_in(doc):
     if kind == "cos":
         return Cos()
     if kind == "affine":
-        return AffineArg(_c_in(doc["scale"]), _c_in(doc["shift"]), _scalar_in(doc["body"]))
+        return AffineArg(
+            _c_in(doc["scale"]), _c_in(doc["shift"]), _scalar_in(doc["body"], depth + 1)
+        )
     if kind == "sum":
-        return Sum(*(_scalar_in(p) for p in doc["parts"]))
+        return Sum(*(_scalar_in(p, depth + 1) for p in doc["parts"]))
     if kind == "product":
-        return Product(*(_scalar_in(p) for p in doc["parts"]))
+        return Product(*(_scalar_in(p, depth + 1) for p in doc["parts"]))
     raise ParseError(f"unknown scalar function kind {kind!r}")
 
 
@@ -346,18 +364,23 @@ def _run_stem_check(doc, args):
 
 
 def _run_slice_check(doc, args):
+    grid_doc = doc.get("grid", {})
+    n_points = _number_in(grid_doc.get("points", 200), integral=True)
+    n_directions = _number_in(grid_doc.get("directions", 5), integral=True)
+    if max(n_points, n_directions) > _MAX_SLICE_POINTS:
+        raise ParseError(f"grid points and directions are at most {_MAX_SLICE_POINTS}")
     fdoc = doc["function"]
     if isinstance(fdoc, dict) and fdoc.get("kind") == "star-involution":
-        def G(q):
-            return q.star()
+        def G(Q):
+            # q -> q* is the conjugate transpose of the matrix view
+            return np.conj(np.swapaxes(Q, -1, -2))
     else:
         G = spectral_evaluator(_stem_in(fdoc))
-    grid_doc = doc.get("grid", {})
     domain = _domain_in(grid_doc.get("domain")) or SymmetricDomain.disk(0.0, 2.0)
     grid = SliceSampleGrid.random(
         domain,
-        _number_in(grid_doc.get("points", 200), integral=True),
-        _number_in(grid_doc.get("directions", 5), integral=True),
+        n_points,
+        n_directions,
         h=args.fd_step,
         seed=_number_in(grid_doc.get("seed", 0), integral=True),
     )
@@ -406,6 +429,8 @@ def _run_op_calc(doc, args):
 
 
 def _run_mult_op(doc, args):
+    if len(doc["quaternions"]) > _MAX_MULT_OP_QUATERNIONS:
+        raise ParseError(f"mult-op takes at most {_MAX_MULT_OP_QUATERNIONS} quaternions")
     quats = [_quat_in(c) for c in doc["quaternions"]]
     T = discrete_mult_op(quats)
     report = complex_spectrum(T, cap=max(64, T.shape[0]))
@@ -526,7 +551,7 @@ def run(argv):
         doc = json.loads(text, parse_constant=_reject_constant)
         if not isinstance(doc, dict):
             raise ParseError("top-level document must be an object")
-    except (OSError, json.JSONDecodeError, ParseError) as exc:
+    except (OSError, json.JSONDecodeError, ParseError, RecursionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
 

@@ -273,6 +273,12 @@ class SymmetricDomain:
         return cls([(center, radius)])
 
     def contains(self, z):
+        """Membership of ``z``; an array of points gives a boolean array."""
+        if isinstance(z, np.ndarray):
+            inside = np.zeros(z.shape, dtype=bool)
+            for c, r in self.disks:
+                inside |= np.abs(z - c) < r
+            return inside
         z = complex(z)
         return any(abs(z - c) < r for c, r in self.disks)
 

@@ -6,6 +6,12 @@ operator ``(1/2)(d/dx + R_s d/dy)`` annihilates it on every slice
 Values produced by the spectral or contour calculus of stem functions pass
 this check; the reverse construction fits a polynomial on one slice and
 rebuilds the stem.
+
+The maps ``G`` under test act on stacks: they take quaternion matrix views
+of shape (..., 2, 2) and return values of the same shape.  A check
+evaluates ``G`` once on the stencil points of its whole sample grid;
+``quaternionwise`` lifts a map on single quaternions to this contract.
+A non-finite stencil result raises NumericError.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError, InvalidArgumentError
-from .func_model import QuaternionPolynomial, eval_spectral
+from .errors import DomainError, InvalidArgumentError, NumericError
+from .func_model import QuaternionPolynomial
 from .quat_core import (
+    DEGENERATE_REL_TOL,
     I,
     J,
     L,
@@ -28,6 +35,8 @@ from .quat_core import (
     random_unit_imaginary,
     spectrum,
 )
+
+_IDENT2 = np.eye(2, dtype=complex)
 
 
 def _as_matrix(value):
@@ -40,27 +49,47 @@ def _slice_point(x, y, s):
     return I * float(x) + s * float(y)
 
 
+def _check_directions(mats, message):
+    if np.any(np.linalg.norm(mats @ mats + _IDENT2, axis=(-2, -1)) > 1e-12):
+        raise InvalidArgumentError(message)
+
+
+def quaternionwise(g):
+    """Lift a map on single quaternions (Quaternion or 2x2 values) to stacks."""
+
+    def G(Q):
+        Q = np.asarray(Q, dtype=complex)
+        values = [_as_matrix(g(Quaternion(m[0, 0], m[0, 1]))) for m in Q.reshape(-1, 2, 2)]
+        return np.asarray(values, dtype=complex).reshape(Q.shape)
+
+    return G
+
+
 def dbar_s(G, x, y, s, h=1e-4, domain=None):
     """Central-difference slice Cauchy-Riemann operator at ``x*I + y*s``.
 
     Returns ``(1/2) [dG/dx + (dG/dy) s]`` with second-order stencils of
-    width ``h``; ``s`` must be unit purely imaginary.  When a domain is
-    given, all four stencil points must have their slice coordinate in it.
+    width ``h``.  ``x`` and ``y`` are numbers or arrays of one shape ``P``;
+    ``s`` is a unit purely imaginary Quaternion or an array of matrix views
+    of such, shape ``P + (2, 2)``; the result has shape ``P + (2, 2)``.
+    ``G`` is called once, on the stack of all stencil points.  When a domain
+    is given, all stencil points must have their slice coordinate in it.
     """
-    s_sq = (s * s).matrix()
-    if np.linalg.norm(s_sq + np.eye(2)) > 1e-12:
-        raise InvalidArgumentError("s must satisfy s*s = -I")
-    if domain is not None:
-        for zx, zy in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
-            if not domain.contains(complex(zx, zy)):
-                raise DomainError("finite-difference stencil escapes the domain")
-    gx = (_as_matrix(G(_slice_point(x + h, y, s))) - _as_matrix(G(_slice_point(x - h, y, s)))) / (
-        2.0 * h
-    )
-    gy = (_as_matrix(G(_slice_point(x, y + h, s))) - _as_matrix(G(_slice_point(x, y - h, s)))) / (
-        2.0 * h
-    )
-    return 0.5 * (gx + gy @ s.matrix())
+    S = s.matrix() if isinstance(s, Quaternion) else np.asarray(s, dtype=complex)
+    _check_directions(S, "s must satisfy s*s = -I")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    px = np.stack([x + h, x - h, x, x])
+    py = np.stack([y, y, y + h, y - h])
+    if domain is not None and not np.all(domain.contains(px + 1j * py)):
+        raise DomainError("finite-difference stencil escapes the domain")
+    values = G(px[..., None, None] * _IDENT2 + py[..., None, None] * S)
+    gx = (values[0] - values[1]) / (2.0 * h)
+    gy = (values[2] - values[3]) / (2.0 * h)
+    out = 0.5 * (gx + gy @ S)
+    if not np.all(np.isfinite(out)):
+        raise NumericError("non-finite result in the slice Cauchy-Riemann stencil")
+    return out
 
 
 @dataclass
@@ -70,50 +99,77 @@ class SliceSampleGrid:
     The step must be finite, positive and large enough that every stencil
     point ``x + h`` and ``y + h`` differs from its center in floating point;
     a step that rounds away makes every difference zero and passes any map.
+    ``x``, ``y`` and ``direction_matrices`` (the matrix view of each point's
+    ``s``) are the points as arrays.
     """
 
     points: list
     h: float = 1e-4
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    y: np.ndarray = field(init=False, repr=False, compare=False)
+    direction_matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise InvalidArgumentError(
                 f"finite-difference step must be finite and positive, got {self.h!r}"
             )
-        for x, y, s in self.points:
-            if np.linalg.norm((s * s).matrix() + np.eye(2)) > 1e-12:
-                raise InvalidArgumentError("grid direction must square to -I")
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise InvalidArgumentError("non-finite grid coordinate")
-            if x + self.h == x or y + self.h == y:
-                raise InvalidArgumentError(
-                    f"finite-difference step {self.h!r} rounds away at the point ({x!r}, {y!r})"
-                )
+        self.points = list(self.points)
+        index = {}
+        for _, _, s in self.points:
+            index.setdefault(s, len(index))
+        mats = np.array([s.matrix() for s in index], dtype=complex).reshape(-1, 2, 2)
+        _check_directions(mats, "grid direction must square to -I")
+        xy = np.array([(x, y) for x, y, _ in self.points], dtype=float).reshape(-1, 2)
+        if not np.all(np.isfinite(xy)):
+            raise InvalidArgumentError("non-finite grid coordinate")
+        rounded = np.flatnonzero(np.any(xy + self.h == xy, axis=1))
+        if rounded.size:
+            x, y = xy[rounded[0]]
+            raise InvalidArgumentError(
+                f"finite-difference step {self.h!r} rounds away at the point ({x!r}, {y!r})"
+            )
+        self.x, self.y = xy[:, 0], xy[:, 1]
+        self.direction_matrices = mats[np.array([index[s] for _, _, s in self.points], dtype=int)]
 
     @classmethod
     def random(cls, domain, n_points, n_directions, h=1e-4, seed=0):
-        """Random grid with slice coordinates (including stencils) in the domain."""
+        """Random grid with slice coordinates (including stencils) in the domain.
+
+        Candidates are drawn in bulk and kept in order; on a single disk
+        they are the same points as drawn one at a time.  Raises when fewer
+        than one candidate in 1000 fits.
+        """
         if n_points < 1 or n_directions < 1:
             raise InvalidArgumentError("need at least one point and one direction")
         rng = np.random.default_rng(seed)
         directions = [random_unit_imaginary(rng) for _ in range(n_directions)]
-        points = []
-        disks = domain.disks
-        attempts = 0
-        while len(points) < n_points:
-            attempts += 1
-            if attempts > 1000 * n_points:
+        centers = np.array([c for c, _ in domain.disks])
+        radii = np.array([r for _, r in domain.disks])
+        xs, ys = [], []
+        found = drawn = 0
+        while found < n_points:
+            if drawn >= 1000 * n_points:
                 raise InvalidArgumentError("domain too small for the stencil width")
-            c, r = disks[rng.integers(len(disks))]
-            z = c + (0.8 * r) * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            x, y = float(z.real), float(z.imag)
-            ok = all(
-                domain.contains(complex(px, py))
-                for px, py in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))
-            )
-            if ok:
-                points.append((x, y, directions[len(points) % n_directions]))
-        return cls(points, h=h)
+            m = min(1000 * n_points - drawn, max(2 * (n_points - found), 64))
+            # a single disk draws no index, so its candidates are the ones a
+            # one-at-a-time draw gives
+            k = rng.integers(len(radii), size=m)
+            u = rng.uniform(size=(m, 2))
+            z = centers[k] + ((0.8 * radii[k]) * np.sqrt(u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
+            x, y = z.real, z.imag
+            stencil = np.stack([x + h, x - h, x, x]) + 1j * np.stack([y, y, y + h, y - h])
+            keep = np.flatnonzero(np.all(domain.contains(stencil), axis=0))[: n_points - found]
+            xs.append(x[keep])
+            ys.append(y[keep])
+            found += keep.size
+            drawn += m
+        points = zip(
+            np.concatenate(xs).tolist(),
+            np.concatenate(ys).tolist(),
+            (directions[k % n_directions] for k in range(n_points)),
+        )
+        return cls(list(points), h=h)
 
 
 @dataclass
@@ -124,17 +180,19 @@ class SliceReport:
 
 
 def slice_regularity_report(G, grid, tol=1e-5):
-    """Worst slice Cauchy-Riemann defect of ``G`` over a sample grid."""
+    """Worst slice Cauchy-Riemann defect of ``G`` over a sample grid.
+
+    One ``dbar_s`` evaluation covers the grid; the defect at a point is the
+    2-norm of its operator value, and the first maximum is the worst point.
+    """
     if not grid.points:
         raise InvalidArgumentError("empty sample grid")
-    worst = -1.0
-    worst_point = None
-    for x, y, s in grid.points:
-        defect = float(np.linalg.norm(dbar_s(G, x, y, s, h=grid.h), 2))
-        if defect > worst:
-            worst = defect
-            worst_point = (x, y, s)
-    return SliceReport(worst, worst <= tol, worst_point)
+    defects = np.linalg.norm(
+        dbar_s(G, grid.x, grid.y, grid.direction_matrices, h=grid.h), 2, axis=(-2, -1)
+    )
+    worst = int(np.argmax(defects))
+    max_defect = float(defects[worst])
+    return SliceReport(max_defect, max_defect <= tol, grid.points[worst])
 
 
 def split_slice(f):
@@ -220,9 +278,41 @@ def extend_from_slice(f, center=0.0, radius=1.0, degree=16):
 
 
 def spectral_evaluator(F):
-    """Quaternion-to-matrix map ``q -> F(q)`` through the spectral calculus."""
+    """Stacked map ``Q -> F(Q)`` through the closed-form spectral calculus.
 
-    def G(q):
-        return eval_spectral(F, q)
+    For quaternion matrix views ``Q`` of shape (..., 2, 2), with
+    ``x = Re(z1)`` and ``t = |Im q|``, returns ``F(s+)E+ + F(s-)E-`` where
+    ``s+- = x +- it``, ``E+- = (I -+ i S)/2`` and ``S = (Q - x I)/t``
+    (``E+- = I/2`` where ``t = 0``).  Only components are divided by ``t``,
+    never a difference of values.  Coordinates below ``DEGENERATE_REL_TOL``
+    times ``max(1, |q|)`` count as zero, as in ``spectrum``.  Raises
+    DomainError when some ``s+-`` leaves ``F.domain``.  ``eval_spectral`` is
+    the single-quaternion form.
+    """
+
+    def G(Q):
+        Q = np.asarray(Q, dtype=complex)
+        z1, z2 = Q[..., 0, 0], Q[..., 0, 1]
+        # the coordinates that spectrum() treats as exactly zero
+        eps = DEGENERATE_REL_TOL * np.maximum(1.0, np.hypot(np.abs(z1), np.abs(z2)))
+        flat = np.abs(z2) <= eps
+        z2 = np.where(flat, 0.0, z2)
+        y = np.where(flat & (np.abs(z1.imag) <= eps), 0.0, z1.imag)
+        t = np.hypot(y, np.abs(z2))
+        s = np.stack([z1.real + 1j * t, z1.real - 1j * t])
+        if F.domain is not None and not np.all(F.domain.contains(s)):
+            raise DomainError("spectrum of q is outside the function domain")
+        safe_t = np.where(t > 0.0, t, 1.0)
+        alpha = y / safe_t
+        beta = z2 / safe_t
+        proj = np.empty((2,) + Q.shape, dtype=complex)
+        proj[0, ..., 0, 0] = proj[1, ..., 1, 1] = 0.5 * (1.0 + alpha)
+        proj[0, ..., 1, 1] = proj[1, ..., 0, 0] = 0.5 * (1.0 - alpha)
+        proj[0, ..., 0, 1] = -0.5j * beta
+        proj[1, ..., 0, 1] = 0.5j * beta
+        proj[0, ..., 1, 0] = 0.5j * beta.conj()
+        proj[1, ..., 1, 0] = -0.5j * beta.conj()
+        values = F(s) @ proj
+        return values[0] + values[1]
 
     return G

@@ -291,7 +291,9 @@ def test_criterion_08_slice_regularity():
             report = qc.slice_regularity_report(G, grid, tol=1e-5)
             assert report.passed, report.max_defect
 
-        star_report = qc.slice_regularity_report(lambda q: q.star(), grid, tol=1e-5)
+        star_report = qc.slice_regularity_report(
+            qc.quaternionwise(lambda q: q.star()), grid, tol=1e-5
+        )
         assert abs(star_report.max_defect - 1.0) <= 1e-3
         assert time.perf_counter() - started < 30.0
 

@@ -401,6 +401,91 @@ def test_grid_res_256_is_accepted(capsys):
     np.testing.assert_allclose(np.array(result["value"]), np.eye(2), atol=1e-8)
 
 
+@pytest.mark.parametrize("grid", [{"points": 100_000_000}, {"points": 10_001},
+                                  {"directions": 10_001}])
+def test_slice_grid_above_10000_exits_1_before_any_work(capsys, monkeypatch, grid):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("drew a rejected grid")
+
+    monkeypatch.setattr(cli.SliceSampleGrid, "random", no_grid)
+    code, out = run_cli(capsys, "slice-check", dict(STEM_EXP, grid=grid))
+    assert code == 1
+    assert out == ""
+
+
+def test_slice_grid_of_10000_is_accepted(capsys):
+    doc = {"function": {"kind": "star-involution"},
+           "grid": {"points": 10_000, "directions": 10_000}}
+    code, out = run_cli(capsys, "slice-check", doc, "--tol", "1e-5")
+    assert code == 0
+    assert abs(json.loads(out)["result"]["max_defect"] - 1.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_slice_value_exits_2(capsys, monkeypatch):
+    # exp overflows on the slice disk of radius 2000; the SVD of the
+    # defects used to fail to converge on the NaNs
+    import io
+    import sys
+
+    doc = dict(STEM_EXP, grid={"domain": [{"center": {"re": 0, "im": 0}, "radius": 2000}]})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert cli.run(["slice-check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: non-finite result")
+
+
+def test_mult_op_above_256_quaternions_exits_1_before_any_work(capsys, monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("built a rejected mult-op matrix")
+
+    monkeypatch.setattr(cli, "discrete_mult_op", no_matrix)
+    code, out = run_cli(capsys, "mult-op", {"quaternions": [[0, 1, 0, 0]] * 257})
+    assert code == 1
+    assert out == ""
+
+
+def test_mult_op_of_256_quaternions_is_accepted(capsys):
+    code, out = run_cli(capsys, "mult-op", {"quaternions": [[0, 1, 0, 0]] * 256})
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["dimension"] == 1024
+    assert [p["multiplicity"] for p in result["eigenvalue_pairs"]] == [512]
+
+
+def _nested_sums(depth):
+    f = {"kind": "exp"}
+    for _ in range(depth - 1):
+        f = {"kind": "sum", "parts": [f]}
+    return {"function": {"kind": "scalar", "f": f}, "quaternion": [0, 1, 0, 0],
+            "method": "spectral"}
+
+
+def test_scalar_function_nested_64_deep_is_accepted(capsys):
+    code, out = run_cli(capsys, "eval", _nested_sums(64))
+    assert code == 0
+    value = json.loads(out)["result"]["value"]
+    assert as_complex(value[0][0]) == pytest.approx(np.exp(1j), abs=1e-12)
+
+
+@pytest.mark.parametrize("depth", [65, 450])
+def test_scalar_function_nested_too_deep_exits_1(capsys, depth):
+    code, out = run_cli(capsys, "eval", _nested_sums(depth))
+    assert code == 1
+    assert out == ""
+
+
+def test_document_too_deep_to_decode_exits_1(capsys, monkeypatch):
+    import io
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 200_000 + "]" * 200_000))
+    assert cli.run(["spectrum"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_quaternionic_operator_keeps_its_symmetry_through_the_cli(capsys, rng, n):
     # T = [left_mult_matrix(A_ij)] commutes with right multiplication by
