@@ -11,22 +11,27 @@ own output; identical inputs produce identical output bytes.
 Exit codes: 0 success (``--help`` included), 1 parse error (a malformed
 document, a number field that is not a finite JSON number of the right kind
 -- booleans and strings are not numbers --, a document nested too deep to
-decode, a scalar function nested deeper than 64, a ``deriv`` order above
-170, a ``slice-check`` ``grid.points`` or ``grid.directions`` above 10,000,
-a ``mult-op`` of more than 256 quaternions, or a usage error such as an
-unknown command, a non-finite ``--tol``, ``--margin`` or ``--fd-step``, an
-``--fd-step`` that is not positive or rounds away at a sample point, or a
-``--grid-res`` above 256) or output error (an ``--output`` path that cannot
-be written), 2 domain/geometry/contract error or a non-finite result
-(including a non-finite ``slice-check`` stencil value), 3 accuracy error
-(including a quadrature that stalls before its tolerance: a rounding floor
-far above it, or the node cap).  Nothing is written to the output on a
-nonzero exit.
+decode, a scalar function nested deeper than 64, a domain with no disk, a
+``deriv`` order above 170, a ``slice-check`` ``grid.points`` or
+``grid.directions`` above 10,000 or a negative ``grid.seed``, a ``mult-op``
+of more than 256 quaternions, a ``joint-*`` pair larger than 32 x 32, or a
+usage error such as an unknown command, a non-finite ``--tol``,
+``--margin`` or ``--fd-step``, an ``--fd-step`` that is not positive or
+rounds away at a sample point, or a ``--grid-res`` above 256) or output
+error (an ``--output`` path that cannot be written), 2 domain/geometry/
+contract error or a non-finite result (including a non-finite
+``slice-check`` stencil value, or a pair whose products overflow), 3
+accuracy error (including a quadrature that stalls before its tolerance: a
+rounding floor far above it, or the node cap), 4 internal error, a fault of
+the program and never of the document.  A nonzero exit writes one error
+line to stderr (after any warnings the numerics raised) and nothing to the
+output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -99,6 +104,11 @@ _MAX_MULT_OP_QUATERNIONS = 256
 #: Deepest nesting of a scalar function document (a bare ``exp`` has depth 1).
 _MAX_FUNCTION_DEPTH = 64
 
+#: Largest side of a ``joint-spectrum`` or ``joint-calc`` pair.  The surface
+#: solve's memory grows as its square: n = 32 takes 2 s and 390 MB at the
+#: default ``--grid-res``, n = 64 takes 9.5 s and 1.4 GB.
+_MAX_PAIR_DIM = 32
+
 
 class ParseError(ValueError):
     pass
@@ -112,16 +122,29 @@ def _reject_constant(token):
     raise ParseError(f"{token} is not a JSON number")
 
 
+@contextlib.contextmanager
+def _reading():
+    """Phase of a handler that reads its document into library objects.
+
+    A document of the wrong shape surfaces as one of the builtin errors
+    below, which become a ParseError.  The library's own errors pass
+    unchanged; three of them subclass ValueError and keep their exit code.
+    """
+    try:
+        yield
+    except (ParseError, InvalidArgumentError, DomainError, GeometryError, ContractViolationError):
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"malformed document ({type(exc).__name__}: {exc})") from exc
+
+
 def _c_out(z):
     z = complex(z)
     return {"im": z.imag, "re": z.real}
 
 
 def _c_in(doc):
-    try:
-        return complex(_number_in(doc["re"]), _number_in(doc["im"]))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"expected a complex record {{re, im}}, got {doc!r}") from exc
+    return complex(_number_in(doc["re"]), _number_in(doc["im"]))
 
 
 def _mat_out(a):
@@ -132,10 +155,7 @@ def _mat_out(a):
 
 
 def _quat_in(doc):
-    try:
-        x0, x1, x2, x3 = (_number_in(v) for v in doc)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"expected a quaternion [x0, x1, x2, x3], got {doc!r}") from exc
+    x0, x1, x2, x3 = (_number_in(v) for v in doc)
     return make_quaternion(x0, x1, x2, x3)
 
 
@@ -146,125 +166,88 @@ def _quat_out(q):
 def _number_in(doc, integral=False):
     """A finite JSON number, and with ``integral`` a whole one, as int.
 
-    Booleans and strings are not numbers, and neither is an integer
-    literal too large for a float.
+    Booleans and strings are not numbers; an integer literal too large for
+    a float raises OverflowError.
     """
-    if isinstance(doc, bool) or not isinstance(doc, (int, float)):
-        raise ParseError(f"expected a finite number, got {doc!r}")
-    try:
-        value = float(doc)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
+    if isinstance(doc, bool) or not isinstance(doc, (int, float)) or not math.isfinite(doc):
         raise ParseError(f"expected a finite number, got {doc!r}")
     if not integral:
-        return value
+        return float(doc)
     if doc != int(doc):
         raise ParseError(f"expected an integer, got {doc!r}")
     return int(doc)
 
 
 def _real_matrix_in(doc):
-    try:
-        m = np.array([[_number_in(v) for v in row] for row in doc], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"expected a real matrix, got {doc!r}") from exc
+    m = np.array([[_number_in(v) for v in row] for row in doc], dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParseError("matrix must be square")
     return m
 
 
+def _kind_in(doc, kinds, *context):
+    """The object that ``kinds[doc["kind"]](doc, *context)`` builds."""
+    kind = doc["kind"]
+    if kind not in kinds:
+        raise ParseError(f"unknown kind {kind!r}, expected one of {sorted(kinds)}")
+    return kinds[kind](doc, *context)
+
+
+_SCALAR_KINDS = {
+    "poly": lambda doc, depth: Polynomial([_c_in(c) for c in doc["coeffs"]]),
+    "exp": lambda doc, depth: Exp(),
+    "sin": lambda doc, depth: Sin(),
+    "cos": lambda doc, depth: Cos(),
+    "affine": lambda doc, depth: AffineArg(
+        _c_in(doc["scale"]), _c_in(doc["shift"]), _scalar_in(doc["body"], depth + 1)
+    ),
+    "sum": lambda doc, depth: Sum(*(_scalar_in(p, depth + 1) for p in doc["parts"])),
+    "product": lambda doc, depth: Product(*(_scalar_in(p, depth + 1) for p in doc["parts"])),
+}
+
+
 def _scalar_in(doc, depth=1):
     if depth > _MAX_FUNCTION_DEPTH:
         raise ParseError(f"scalar function nested deeper than {_MAX_FUNCTION_DEPTH}")
-    try:
-        kind = doc["kind"]
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"scalar function needs a 'kind', got {doc!r}") from exc
-    if kind == "poly":
-        return Polynomial([_c_in(c) for c in doc["coeffs"]])
-    if kind == "exp":
-        return Exp()
-    if kind == "sin":
-        return Sin()
-    if kind == "cos":
-        return Cos()
-    if kind == "affine":
-        return AffineArg(
-            _c_in(doc["scale"]), _c_in(doc["shift"]), _scalar_in(doc["body"], depth + 1)
-        )
-    if kind == "sum":
-        return Sum(*(_scalar_in(p, depth + 1) for p in doc["parts"]))
-    if kind == "product":
-        return Product(*(_scalar_in(p, depth + 1) for p in doc["parts"]))
-    raise ParseError(f"unknown scalar function kind {kind!r}")
+    return _kind_in(doc, _SCALAR_KINDS, depth)
+
+
+_STEM_KINDS = {
+    "scalar": lambda doc, dom: ScalarStem(_scalar_in(doc["f"]), domain=dom),
+    "pair": lambda doc, dom: PairStem(_scalar_in(doc["f1"]), _scalar_in(doc["f2"]), domain=dom),
+    "hpoly": lambda doc, dom: QuaternionPolynomial(map(_quat_in, doc["coeffs"]), domain=dom),
+    "entries": lambda doc, dom: EntrywiseFunction(
+        [[_scalar_in(doc["entries"][i][j]) for j in (0, 1)] for i in (0, 1)], domain=dom
+    ),
+}
+
+_OPERATOR_KINDS = {
+    "op-poly": lambda doc, dim: MatrixCoefficientFunction.from_polynomial(
+        [_real_matrix_in(m) for m in doc["coeffs"]]
+    ),
+    "op-scalar": lambda doc, dim: MatrixCoefficientFunction.from_scalar(_scalar_in(doc["f"]), dim),
+    "op-terms": lambda doc, dim: MatrixCoefficientFunction(
+        [(_real_matrix_in(t["matrix"]), _scalar_in(t["scalar"])) for t in doc["terms"]]
+    ),
+}
+
+_TWO_VARIABLE_KINDS = {
+    "poly2": lambda doc: TwoVariablePolynomial([[_c_in(c) for c in row] for row in doc["coeffs"]]),
+    "separable": lambda doc: SeparableProduct(_scalar_in(doc["g"]), _scalar_in(doc["h"])),
+}
 
 
 def _domain_in(doc):
     if doc is None:
         return None
-    try:
-        return SymmetricDomain([(_c_in(d["center"]), _number_in(d["radius"])) for d in doc])
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad domain specification {doc!r}") from exc
+    return SymmetricDomain([(_c_in(d["center"]), _number_in(d["radius"])) for d in doc])
 
 
-def _stem_in(doc, domain=None):
-    try:
-        kind = doc["kind"]
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"matrix function needs a 'kind', got {doc!r}") from exc
-    if kind == "scalar":
-        return ScalarStem(_scalar_in(doc["f"]), domain=domain)
-    if kind == "pair":
-        return PairStem(_scalar_in(doc["f1"]), _scalar_in(doc["f2"]), domain=domain)
-    if kind == "hpoly":
-        return QuaternionPolynomial([_quat_in(c) for c in doc["coeffs"]], domain=domain)
-    if kind == "entries":
-        rows = doc["entries"]
-        return EntrywiseFunction(
-            [[_scalar_in(rows[0][0]), _scalar_in(rows[0][1])],
-             [_scalar_in(rows[1][0]), _scalar_in(rows[1][1])]],
-            domain=domain,
-        )
-    raise ParseError(f"unknown matrix function kind {kind!r}")
-
-
-def _operator_function_in(doc, dim):
-    try:
-        kind = doc["kind"]
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"operator function needs a 'kind', got {doc!r}") from exc
-    if kind == "op-poly":
-        mats = [_real_matrix_in(m) for m in doc["coeffs"]]
-        F = MatrixCoefficientFunction.from_polynomial(mats)
-    elif kind == "op-scalar":
-        F = MatrixCoefficientFunction.from_scalar(_scalar_in(doc["f"]), dim)
-    elif kind == "op-terms":
-        F = MatrixCoefficientFunction(
-            [(_real_matrix_in(t["matrix"]), _scalar_in(t["scalar"])) for t in doc["terms"]]
-        )
-    else:
-        raise ParseError(f"unknown operator function kind {kind!r}")
-    if F.dim != dim:
-        raise ParseError(f"operator function dimension {F.dim} does not match matrix {dim}")
-    return F
-
-
-def _two_variable_in(doc):
-    try:
-        kind = doc["kind"]
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"two-variable function needs a 'kind', got {doc!r}") from exc
-    if kind == "poly2":
-        return TwoVariablePolynomial([[_c_in(c) for c in row] for row in doc["coeffs"]])
-    if kind == "separable":
-        return SeparableProduct(_scalar_in(doc["g"]), _scalar_in(doc["h"]))
-    raise ParseError(f"unknown two-variable function kind {kind!r}")
-
-
-def _quadrature_config(args):
-    return QuadratureConfig(rel_tol=args.tol)
+def _pair_in(doc):
+    t1, t2 = _real_matrix_in(doc["matrix1"]), _real_matrix_in(doc["matrix2"])
+    if max(len(t1), len(t2)) > _MAX_PAIR_DIM:
+        raise ParseError(f"pair matrices are at most {_MAX_PAIR_DIM} x {_MAX_PAIR_DIM}")
+    return CommutingPair(t1, t2)
 
 
 def _quadrature_diagnostics(diag):
@@ -286,7 +269,8 @@ def _default_domain_for(q):
 
 
 def _run_spectrum(doc, args):
-    q = _quat_in(doc["quaternion"])
+    with _reading():
+        q = _quat_in(doc["quaternion"])
     sp = spectrum(q)
     return {
         "eigenvectors": {
@@ -298,13 +282,18 @@ def _run_spectrum(doc, args):
     }
 
 
-def _eval_common(doc, args, order):
-    q = _quat_in(doc["quaternion"])
-    domain = _domain_in(doc.get("domain"))
-    F = _stem_in(doc["function"], domain=domain)
-    method = doc.get("method", "contour")
-    if method not in ("contour", "spectral"):
-        raise ParseError(f"unknown method {method!r}")
+def _run_eval(doc, args):
+    """``eval``, and ``deriv`` of the document's ``order`` (default 1)."""
+    with _reading():
+        order = _number_in(doc.get("order", 1), integral=True) if args.command == "deriv" else 0
+        if not 0 <= order <= _MAX_DERIV_ORDER:
+            raise ParseError(f"order must be in 0..{_MAX_DERIV_ORDER}, got {order}")
+        q = _quat_in(doc["quaternion"])
+        domain = _domain_in(doc.get("domain"))
+        F = _kind_in(doc["function"], _STEM_KINDS, domain)
+        method = doc.get("method", "contour")
+        if method not in ("contour", "spectral"):
+            raise ParseError(f"unknown method {method!r}")
     result = {"method": method, "order": order}
     if method == "spectral":
         G = F
@@ -319,7 +308,7 @@ def _eval_common(doc, args, order):
         dom = domain if domain is not None else _default_domain_for(q)
         gamma = build_contour([sp.s_plus, sp.s_minus], dom, args.margin)
         value, diag = cauchy_derivative(
-            F, order, q, gamma, _quadrature_config(args), return_diagnostics=True
+            F, order, q, gamma, QuadratureConfig(rel_tol=args.tol), return_diagnostics=True
         )
         diagnostics = _quadrature_diagnostics(diag)
         if args.emit_samples:
@@ -334,23 +323,11 @@ def _eval_common(doc, args, order):
     return result
 
 
-def _run_eval(doc, args):
-    return _eval_common(doc, args, 0)
-
-
-def _run_deriv(doc, args):
-    order = _number_in(doc.get("order", 1), integral=True)
-    if not 0 <= order <= _MAX_DERIV_ORDER:
-        raise ParseError(f"order must be in 0..{_MAX_DERIV_ORDER}, got {order}")
-    return _eval_common(doc, args, order)
-
-
 def _run_stem_check(doc, args):
-    domain = _domain_in(doc.get("domain"))
-    F = _stem_in(doc["function"], domain=domain)
-    if "samples" in doc:
-        samples = [_c_in(c) for c in doc["samples"]]
-    else:
+    with _reading():
+        F = _kind_in(doc["function"], _STEM_KINDS, _domain_in(doc.get("domain")))
+        samples = [_c_in(c) for c in doc["samples"]] if "samples" in doc else None
+    if samples is None:
         samples = conjugate_sample_pairs(F.domain)
     report = verify_stem(F, samples=samples, tol=args.tol)
     out = {
@@ -364,26 +341,24 @@ def _run_stem_check(doc, args):
 
 
 def _run_slice_check(doc, args):
-    grid_doc = doc.get("grid", {})
-    n_points = _number_in(grid_doc.get("points", 200), integral=True)
-    n_directions = _number_in(grid_doc.get("directions", 5), integral=True)
-    if max(n_points, n_directions) > _MAX_SLICE_POINTS:
-        raise ParseError(f"grid points and directions are at most {_MAX_SLICE_POINTS}")
-    fdoc = doc["function"]
-    if isinstance(fdoc, dict) and fdoc.get("kind") == "star-involution":
-        def G(Q):
-            # q -> q* is the conjugate transpose of the matrix view
-            return np.conj(np.swapaxes(Q, -1, -2))
-    else:
-        G = spectral_evaluator(_stem_in(fdoc))
-    domain = _domain_in(grid_doc.get("domain")) or SymmetricDomain.disk(0.0, 2.0)
-    grid = SliceSampleGrid.random(
-        domain,
-        n_points,
-        n_directions,
-        h=args.fd_step,
-        seed=_number_in(grid_doc.get("seed", 0), integral=True),
-    )
+    with _reading():
+        grid_doc = doc.get("grid", {})
+        n_points = _number_in(grid_doc.get("points", 200), integral=True)
+        n_directions = _number_in(grid_doc.get("directions", 5), integral=True)
+        if max(n_points, n_directions) > _MAX_SLICE_POINTS:
+            raise ParseError(f"grid points and directions are at most {_MAX_SLICE_POINTS}")
+        fdoc = doc["function"]
+        if isinstance(fdoc, dict) and fdoc.get("kind") == "star-involution":
+            def G(Q):
+                # q -> q* is the conjugate transpose of the matrix view
+                return np.conj(np.swapaxes(Q, -1, -2))
+        else:
+            G = spectral_evaluator(_kind_in(fdoc, _STEM_KINDS, None))
+        domain = _domain_in(grid_doc.get("domain")) or SymmetricDomain.disk(0.0, 2.0)
+        seed = _number_in(grid_doc.get("seed", 0), integral=True)
+        if seed < 0:
+            raise ParseError(f"grid seed must be non-negative, got {seed}")
+    grid = SliceSampleGrid.random(domain, n_points, n_directions, h=args.fd_step, seed=seed)
     report = slice_regularity_report(G, grid, tol=args.tol)
     x, y, s = report.worst_point
     out = {
@@ -397,8 +372,9 @@ def _run_slice_check(doc, args):
 
 
 def _run_zeros(doc, args):
-    q = _quat_in(doc["quaternion"])
-    F = _stem_in(doc["function"], domain=_domain_in(doc.get("domain")))
+    with _reading():
+        q = _quat_in(doc["quaternion"])
+        F = _kind_in(doc["function"], _STEM_KINDS, _domain_in(doc.get("domain")))
     sp = spectrum(q)
     return {
         "contains": zero_set_contains(F, q, tol=args.tol),
@@ -408,7 +384,8 @@ def _run_zeros(doc, args):
 
 
 def _run_op_spectrum(doc, args):
-    T = _real_matrix_in(doc["matrix"])
+    with _reading():
+        T = _real_matrix_in(doc["matrix"])
     report = complex_spectrum(T)
     return {
         "eigenvalues": [_c_out(v) for v in report.eigenvalues],
@@ -417,10 +394,13 @@ def _run_op_spectrum(doc, args):
 
 
 def _run_op_calc(doc, args):
-    T = _real_matrix_in(doc["matrix"])
-    F = _operator_function_in(doc["function"], T.shape[0])
+    with _reading():
+        T = _real_matrix_in(doc["matrix"])
+        F = _kind_in(doc["function"], _OPERATOR_KINDS, len(T))
+        if F.dim != len(T):
+            raise ParseError(f"operator function dimension {F.dim} does not match matrix {len(T)}")
     value, diag, flat_defect = op_calculus(
-        F, T, cfg=_quadrature_config(args), return_diagnostics=True
+        F, T, cfg=QuadratureConfig(rel_tol=args.tol), return_diagnostics=True
     )
     return {
         "diagnostics": dict(_quadrature_diagnostics(diag), flat_defect=flat_defect),
@@ -429,9 +409,10 @@ def _run_op_calc(doc, args):
 
 
 def _run_mult_op(doc, args):
-    if len(doc["quaternions"]) > _MAX_MULT_OP_QUATERNIONS:
-        raise ParseError(f"mult-op takes at most {_MAX_MULT_OP_QUATERNIONS} quaternions")
-    quats = [_quat_in(c) for c in doc["quaternions"]]
+    with _reading():
+        if len(doc["quaternions"]) > _MAX_MULT_OP_QUATERNIONS:
+            raise ParseError(f"mult-op takes at most {_MAX_MULT_OP_QUATERNIONS} quaternions")
+        quats = [_quat_in(c) for c in doc["quaternions"]]
     T = discrete_mult_op(quats)
     report = complex_spectrum(T, cap=max(64, T.shape[0]))
     return {
@@ -442,7 +423,8 @@ def _run_mult_op(doc, args):
 
 
 def _run_joint_spectrum(doc, args):
-    pair = CommutingPair(_real_matrix_in(doc["matrix1"]), _real_matrix_in(doc["matrix2"]))
+    with _reading():
+        pair = _pair_in(doc)
     points = joint_spectrum_points(pair)
     return {
         "points": [
@@ -457,16 +439,17 @@ def _run_joint_spectrum(doc, args):
 
 
 def _run_joint_calc(doc, args):
-    pair = CommutingPair(_real_matrix_in(doc["matrix1"]), _real_matrix_in(doc["matrix2"]))
-    f = _two_variable_in(doc["function"])
-    if "sphere" in doc:
-        sphere = doc["sphere"]
-        grid = SphereGrid(
-            (_number_in(sphere["center"][0]), _number_in(sphere["center"][1])),
-            _number_in(sphere["radius"]),
-            args.grid_res,
-        )
-    else:
+    with _reading():
+        f = _kind_in(doc["function"], _TWO_VARIABLE_KINDS)
+        pair = _pair_in(doc)
+        if "sphere" in doc:
+            sphere = doc["sphere"]
+            grid = SphereGrid(
+                (_number_in(sphere["center"][0]), _number_in(sphere["center"][1])),
+                _number_in(sphere["radius"]),
+                args.grid_res,
+            )
+    if "sphere" not in doc:
         grid = enclosing_sphere_grid(pair, resolution=args.grid_res, margin=args.margin)
     value, diagnostics = martinelli_calculus(f, pair, grid, return_diagnostics=True)
     return {
@@ -479,7 +462,7 @@ def _run_joint_calc(doc, args):
 _HANDLERS = {
     "spectrum": _run_spectrum,
     "eval": _run_eval,
-    "deriv": _run_deriv,
+    "deriv": _run_eval,
     "stem-check": _run_stem_check,
     "slice-check": _run_slice_check,
     "zeros": _run_zeros,
@@ -558,7 +541,7 @@ def run(argv):
     handler = _HANDLERS[args.command]
     try:
         result = handler(doc, args)
-    except (ParseError, KeyError, TypeError, InvalidArgumentError, SingularElementError) as exc:
+    except (ParseError, InvalidArgumentError, SingularElementError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, GeometryError, ContractViolationError, NumericError) as exc:
@@ -567,6 +550,9 @@ def run(argv):
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of the program, never of the document
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     out_doc = {"command": args.command, "inputs": doc, "result": result}
     try:

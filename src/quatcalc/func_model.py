@@ -262,11 +262,9 @@ class SymmetricDomain:
             stored.append((center, radius))
             if center.imag != 0.0:
                 stored.append((center.conjugate(), radius))
-        seen = []
-        for d in stored:
-            if d not in seen:
-                seen.append(d)
-        self.disks = tuple(seen)
+        if not stored:
+            raise InvalidArgumentError("a domain needs at least one disk")
+        self.disks = tuple(dict.fromkeys(stored))  # first of each duplicate, in order
 
     @classmethod
     def disk(cls, center, radius):

@@ -58,7 +58,9 @@ _MARGIN_FLOOR = 1e-10
 class CommutingPair:
     """Pair of same-size commuting real matrices, held as read-only copies.
 
-    Pairs compare and hash by identity, as each keeps its own spectrum."""
+    Raises NumericError when a product of the pair overflows, as the pencil
+    ``L`` would.  Pairs compare and hash by identity, as each keeps its own
+    spectrum."""
 
     t1: np.ndarray
     t2: np.ndarray
@@ -71,8 +73,13 @@ class CommutingPair:
         t1.flags.writeable = t2.flags.writeable = False
         if t1.shape != t2.shape:
             raise InvalidArgumentError("pair members must have equal shape")
+        with np.errstate(over="ignore", invalid="ignore"):
+            commutator = t1 @ t2 - t2 @ t1
+            finite = np.isfinite(commutator).all() and np.isfinite(t1 @ t1 + t2 @ t2).all()
+        if not finite:
+            raise NumericError("products of the pair overflow")
         scale = max(1.0, mat_norm(t1) * mat_norm(t2))
-        if mat_norm(t1 @ t2 - t2 @ t1) > 1e-12 * scale:
+        if mat_norm(commutator) > 1e-12 * scale:
             raise InvalidArgumentError("matrices do not commute within tolerance")
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
@@ -208,8 +215,8 @@ class TwoVariablePolynomial(TwoVariableFunction):
 
     def __init__(self, coeffs):
         coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
-        if coeffs.ndim != 2:
-            raise InvalidArgumentError("coefficients must form a 2-D grid")
+        if coeffs.ndim != 2 or coeffs.size == 0:
+            raise InvalidArgumentError("coefficients must form a non-empty 2-D grid")
         if not np.all(np.isfinite(coeffs)):
             raise InvalidArgumentError("non-finite coefficient")
         self.coeffs = coeffs

@@ -1,7 +1,12 @@
+import copy
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quatcalc import AccuracyWarning, J, K, L, cli
 
@@ -9,6 +14,11 @@ from conftest import quaternionic_operator, right_mult_matrix
 
 
 def run_cli(capsys, command, doc, *flags):
+    code, out, _ = run_cli_err(capsys, command, doc, *flags)
+    return code, out
+
+
+def run_cli_err(capsys, command, doc, *flags):
     import io
     import sys
 
@@ -18,8 +28,8 @@ def run_cli(capsys, command, doc, *flags):
         code = cli.run([command, *flags])
     finally:
         sys.stdin = stdin
-    out = capsys.readouterr().out
-    return code, out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def as_complex(rec):
@@ -603,3 +613,185 @@ def test_quadrature_stall_exits_3(capsys, command, doc, flags):
         code, out = run_cli(capsys, command, doc, *flags)
     assert code == 3
     assert out == ""
+
+
+def _assert_error_exit(code, out, err, want):
+    assert code == want
+    assert out == ""
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+ONE = {"re": 1, "im": 0}
+OVERFLOWING_PAIR = {"matrix1": [[1, 0], [0, 2]], "matrix2": [[-1e308, 0], [0, 4]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, want",
+    [
+        # a slice grid that is not an object
+        ("slice-check", dict(STEM_EXP, grid=[1]), 1),
+        ("slice-check", dict(STEM_EXP, grid=None), 1),
+        ("slice-check", dict(STEM_EXP, grid=False), 1),
+        ("joint-calc", dict(JOINT_DOC, sphere={"center": [1], "radius": 4.0}), 1),
+        ("stem-check", {"function": {"kind": "entries", "entries": [[{"kind": "exp"}] * 2]}}, 1),
+        ("joint-calc", dict(JOINT_DOC, function={"kind": "poly2", "coeffs": [[ONE, ONE], [ONE]]}), 1),
+        # domains with no disk
+        ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0], domain=[]), 1),
+        ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0], domain=""), 1),
+        ("stem-check", dict(STEM_EXP, domain=[]), 1),
+        ("slice-check", dict(STEM_EXP, grid={"domain": []}), 1),
+        ("slice-check", dict(STEM_EXP, grid={"seed": -1}), 1),
+        # the pair commutes, but T2^2 overflows
+        ("joint-spectrum", OVERFLOWING_PAIR, 2),
+        ("joint-calc", dict(JOINT_DOC, **OVERFLOWING_PAIR), 2),
+        ("joint-calc", dict(JOINT_DOC, function={"kind": "poly2", "coeffs": []}), 1),
+        ("joint-calc", dict(JOINT_DOC, function={"kind": "poly2", "coeffs": [[]]}), 1),
+    ],
+)
+def test_malformed_document_exits_with_one_error_line(capsys, command, doc, want):
+    _assert_error_exit(*run_cli_err(capsys, command, doc, "--grid-res", "8"), want)
+
+
+def _diagonal_pair(n):
+    return {"matrix1": np.diag(np.arange(1.0, n + 1)).tolist(),
+            "matrix2": np.diag(np.arange(n, 0.0, -1)).tolist()}
+
+
+def test_pair_above_32_exits_1_before_any_work(capsys, monkeypatch):
+    def no_pair(*args):
+        raise AssertionError("built a rejected pair")
+
+    monkeypatch.setattr(cli, "CommutingPair", no_pair)
+    for command in ("joint-spectrum", "joint-calc"):
+        doc = dict(JOINT_DOC, **_diagonal_pair(33))
+        _assert_error_exit(*run_cli_err(capsys, command, doc), 1)
+
+
+def test_pair_of_32_is_accepted(capsys):
+    code, out = run_cli(capsys, "joint-spectrum", _diagonal_pair(32))
+    assert code == 0
+    assert len(json.loads(out)["result"]["points"]) == 32
+
+
+ASYMMETRIC_POLY = {"kind": "poly", "coeffs": [{"re": 0, "im": 1}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("stem-check", {"function": {"kind": "scalar", "f": ASYMMETRIC_POLY}}),
+        ("op-calc", {"matrix": [[1.0, 0.0], [0.0, 1.0]], "function": {
+            "kind": "op-terms", "terms": [{"matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                           "scalar": ASYMMETRIC_POLY}]}}),
+    ],
+)
+def test_contract_error_while_reading_exits_2(capsys, command, doc):
+    _assert_error_exit(*run_cli_err(capsys, command, doc), 2)
+
+
+def test_program_fault_exits_4(capsys, monkeypatch):
+    def broken_spectrum(q):
+        raise KeyError("a fault of the program")
+
+    monkeypatch.setattr(cli, "spectrum", broken_spectrum)
+    code, out, err = run_cli_err(capsys, "spectrum", {"quaternion": [0, 1, 0, 0]})
+    _assert_error_exit(code, out, err, 4)
+    assert err.startswith("internal error: KeyError:")
+
+
+# Small valid jobs of every command, which the property below mutates.
+DISK = [{"center": {"re": 0, "im": 0}, "radius": 3}]
+FUZZ_SEEDS = [
+    ("spectrum", {"quaternion": [0.5, 1, 0, 0]}, ()),
+    ("eval", dict(STEM_EXP, quaternion=[0.2, 0.5, 0, 0], domain=DISK), ()),
+    ("eval", {"function": {"kind": "hpoly", "coeffs": [[0, 1, 0, 0], [1, 0, 0, 0]]},
+              "quaternion": [0.2, 0.5, 0.1, 0], "method": "spectral"}, ()),
+    ("deriv", {"function": {"kind": "pair", "f1": {"kind": "sin"},
+                            "f2": {"kind": "poly", "coeffs": [ONE, {"re": 0.5, "im": 0}]}},
+               "quaternion": [0.1, 0.3, 0.2, 0], "order": 1, "method": "spectral"}, ()),
+    ("stem-check", {"function": {"kind": "entries", "entries": [
+        [{"kind": "exp"}, {"kind": "cos"}], [{"kind": "sin"}, {"kind": "poly", "coeffs": [ONE]}]]},
+        "samples": [{"re": 0.5, "im": 0.5}, {"re": 0.5, "im": -0.5}], "domain": DISK}, ()),
+    ("slice-check", {"function": {"kind": "hpoly", "coeffs": [[0, 1, 0, 0], [1, 0, 0, 0]]},
+                     "grid": {"points": 8, "directions": 2, "seed": 3, "domain": DISK}},
+     ("--tol", "1e-4")),
+    ("slice-check", {"function": {"kind": "star-involution"},
+                     "grid": {"points": 8, "directions": 2}}, ()),
+    ("zeros", {"function": {"kind": "scalar", "f": {
+        "kind": "affine", "scale": ONE, "shift": {"re": 0.5, "im": 0},
+        "body": {"kind": "sum", "parts": [
+            {"kind": "exp"}, {"kind": "product", "parts": [{"kind": "sin"}, {"kind": "cos"}]}]}}},
+        "quaternion": [0, 1, 0, 0]}, ()),
+    ("op-spectrum", {"matrix": [[1, 2], [-2, 1]]}, ()),
+    ("op-calc", {"matrix": [[1, 2], [-2, 1]], "function": {
+        "kind": "op-terms", "terms": [{"matrix": [[1, 0], [0, 1]], "scalar": {"kind": "exp"}}]}}, ()),
+    ("op-calc", {"matrix": [[1, 0.5], [0, 1]], "function": {
+        "kind": "op-poly", "coeffs": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}}, ()),
+    ("op-calc", {"matrix": [[0.5, 0], [0, -1]],
+                 "function": {"kind": "op-scalar", "f": {"kind": "sin"}}}, ()),
+    ("mult-op", {"quaternions": [[0, 1, 0, 0], [1, 0, 0.5, 0]]}, ()),
+    ("joint-spectrum", {"matrix1": JOINT_DOC["matrix1"], "matrix2": JOINT_DOC["matrix2"]}, ()),
+    ("joint-calc", dict(JOINT_DOC, function={"kind": "separable", "g": {"kind": "exp"},
+                                             "h": {"kind": "cos"}}), ("--grid-res", "8")),
+    ("joint-calc", dict(JOINT_DOC, function={"kind": "poly2", "coeffs": [
+        [ONE, {"re": 0, "im": 0}], [{"re": 0, "im": 0}, ONE]]},
+        sphere={"center": [1.5, 3.5], "radius": 3}), ("--grid-res", "8")),
+]
+FUZZ_VALUES = [None, True, "x", [], {}, [1], 0, -1, 2.5, 1e308, 10**400]
+
+
+@pytest.mark.parametrize("command, doc, flags", FUZZ_SEEDS)
+def test_fuzz_seed_is_a_valid_job(capsys, command, doc, flags):
+    assert run_cli(capsys, command, doc, *flags)[0] == 0
+
+
+def _paths(node, path=()):
+    """Every path below ``node`` to a dict value or list item."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _no_constant(token):
+    raise AssertionError(f"{token} in the output")
+
+
+@st.composite
+def mutated_jobs(draw):
+    command, doc, flags = draw(st.sampled_from(FUZZ_SEEDS))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        action = draw(st.sampled_from(["delete", "wrap", "replace"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "wrap":
+            parent[path[-1]] = [parent[path[-1]]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return command, doc, flags
+
+
+# A CLI user sees these warnings on stderr; under the suite's warnings-as-
+# errors they would surface as exit 4.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::quatcalc.AccuracyWarning")
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_jobs())
+def test_mutated_documents_exit_with_a_documented_code(capsys, job):
+    command, doc, flags = job
+    code, out, err = run_cli_err(capsys, command, doc, *flags)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert out.count("\n") == 1 and out.endswith("\n")
+        json.loads(out, parse_constant=_no_constant)
+    else:
+        _assert_error_exit(code, out, err, code)
