@@ -10,7 +10,6 @@ calculus for commuting real pairs.
 
 from .errors import (
     AccuracyError,
-    AccuracyWarning,
     ContractViolationError,
     DomainError,
     GeometryError,
@@ -59,7 +58,6 @@ from .func_model import (
     Sum,
     SymmetricDomain,
     conjugate_sample_pairs,
-    eval_dist_to_quaternions,
     eval_spectral,
     hpoly_eval,
     stem_scalar_mul,
@@ -70,7 +68,6 @@ from .func_model import (
 from .contour_calc import (
     Circle,
     Contour,
-    QuadratureConfig,
     QuadratureDiagnostics,
     build_contour,
     cauchy_derivative,

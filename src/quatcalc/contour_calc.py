@@ -10,13 +10,12 @@ resolvent is evaluated in the closed spectral form ``(z - s+)^-1 E+ +
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    AccuracyWarning,
+    AccuracyError,
     DomainError,
     GeometryError,
     InvalidArgumentError,
@@ -31,6 +30,13 @@ _IDENT2 = np.eye(2, dtype=complex)
 _SERIES_REL_FLOOR = 1e-16
 _SERIES_STALL = 3
 _TAYLOR_GROW_LIMIT = 5
+
+#: Nodes per circle of ``_trapezoid_doubling``'s first level, and its cap;
+#: both powers of two.  The trapezoid rule converges geometrically on
+#: analytic integrands, so most integrals are exact to double precision
+#: within a few doublings of the start.
+_START_NODES = 16
+_MAX_NODES = 2**18
 
 #: Stopping rule of ``_trapezoid_doubling``: the share of the previous change
 #: that a settling change falls below, the share of the rounding floor that
@@ -59,38 +65,14 @@ class Contour:
 
 
 @dataclass
-class QuadratureConfig:
-    """Node-doubling trapezoid configuration; node counts are powers of two.
-
-    The trapezoid rule converges geometrically on analytic integrands, so
-    most integrals are exact to double precision within a few doublings of
-    the 16-node start; ``_trapezoid_doubling`` states when it stops.
-    """
-
-    nodes_per_circle: int = 16
-    max_nodes: int = 2**18
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        for n in (self.nodes_per_circle, self.max_nodes):
-            if n < 16 or n & (n - 1):
-                raise InvalidArgumentError("node counts must be powers of two >= 16")
-        if self.max_nodes < self.nodes_per_circle:
-            raise InvalidArgumentError("max_nodes below starting node count")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
-            raise InvalidArgumentError("rel_tol must be finite and non-negative")
-
-
-@dataclass
 class QuadratureDiagnostics:
     """Outcome of ``_trapezoid_doubling``: the final node count per circle,
-    the norm of the last change between levels, whether it settled, and the
-    rounding floor (eps times the mean norm of the integrand's terms at the
-    final level, in the units of ``est_error``)."""
+    the norm of the last change between levels, and the rounding floor (eps
+    times the mean norm of the integrand's terms at the final level, in the
+    units of ``est_error``)."""
 
     nodes_per_circle: int
     est_error: float
-    converged: bool
     rounding_floor: float
 
 
@@ -111,7 +93,7 @@ def _compensated_sum(values):
     return s[0] + err
 
 
-def _trapezoid_doubling(circle_sum, circles, cfg=None):
+def _trapezoid_doubling(circle_sum, circles, tol):
     """Node-doubling trapezoid rule for ``(1/2 pi i)`` times a contour
     integral over circles.  ``circle_sum(circle, nodes, offset)`` returns the
     sum of ``integrand(z) dz/dtheta`` over the angles ``2 pi (k + offset) /
@@ -123,27 +105,28 @@ def _trapezoid_doubling(circle_sum, circles, cfg=None):
     times the mean norm of a level's terms is its rounding floor: the size
     of change that rounding alone can cause.  Every decision waits for
     three levels, so that two coarse levels agreeing by chance settle
-    nothing.  With ``tol = cfg.rel_tol * max(1, norm(value))`` the driver
-    stops when
+    nothing.  Levels start at ``_START_NODES`` per circle.  With
+    ``atol = tol * max(1, norm(value))`` the driver stops when
 
-    - the last change is at most ``tol`` and at most half the change before
-      it (the geometric decay of the trapezoid error), or both of the last
-      two changes are at most ``max(tol, floor / 2)``: converged;
-    - the floor exceeds ``100 tol`` and the last change is within 100
-      floors, so the value has settled as far as ``tol`` is out of reach:
+    - the last change is at most ``atol`` and at most half the change
+      before it (the geometric decay of the trapezoid error), or both of
+      the last two changes are at most ``max(atol, floor / 2)``: settled;
+    - the floor exceeds ``100 atol`` and the last change is within 100
+      floors, so the value has settled as far as ``atol`` is out of reach:
       a stall, reported at once;
-    - the next level would pass ``cfg.max_nodes``: a stall.
+    - the next level would pass ``_MAX_NODES``: a stall.
 
-    A stall issues an AccuracyWarning.  Returns the value and its
-    QuadratureDiagnostics; a non-finite total raises NumericError.
+    Returns the value and its QuadratureDiagnostics.  A stall raises
+    AccuracyError carrying both; a non-finite total raises NumericError.
     """
-    cfg = cfg if cfg is not None else QuadratureConfig()
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidArgumentError("tol must be finite and non-negative")
 
     def level_sums(nodes, offset):
         sums = [circle_sum(c, nodes, offset) for c in circles]
         return sum(s for s, _ in sums), sum(m for _, m in sums)
 
-    nodes = cfg.nodes_per_circle
+    nodes = _START_NODES
     running, magnitude = level_sums(nodes, 0.0)
     prev, before, last = None, math.inf, math.inf
     while True:
@@ -154,25 +137,24 @@ def _trapezoid_doubling(circle_sum, circles, cfg=None):
         if prev is not None:
             before, last = last, float(np.linalg.norm(cur - prev))
         if before < math.inf:  # from the third level on
-            tol = cfg.rel_tol * max(1.0, float(np.linalg.norm(cur)))
-            if floor > _FLOOR_REACH * tol and last <= _FLOOR_REACH * floor:
+            atol = tol * max(1.0, float(np.linalg.norm(cur)))
+            if floor > _FLOOR_REACH * atol and last <= _FLOOR_REACH * floor:
                 break
-            settled = max(before, last) <= max(tol, _NOISE_SHARE * floor)
-            if settled or (last <= tol and last <= _GEOMETRIC_SHRINK * before):
-                return cur, QuadratureDiagnostics(nodes, last, True, floor)
-        if nodes * 2 > cfg.max_nodes:
+            settled = max(before, last) <= max(atol, _NOISE_SHARE * floor)
+            if settled or (last <= atol and last <= _GEOMETRIC_SHRINK * before):
+                return cur, QuadratureDiagnostics(nodes, last, floor)
+        if nodes * 2 > _MAX_NODES:
             break
         prev = cur
         sums, mags = level_sums(nodes, 0.5)
         running, magnitude = running + sums, magnitude + mags
         nodes *= 2
-    warnings.warn(
+    raise AccuracyError(
         f"quadrature stalled at {nodes} nodes/circle "
         f"(last change {last:.3e}, rounding floor {floor:.3e})",
-        AccuracyWarning,
-        stacklevel=3,
+        cur,
+        QuadratureDiagnostics(nodes, last, floor),
     )
-    return cur, QuadratureDiagnostics(nodes, last, False, floor)
 
 
 def enclosing_circles(points, margin, real_centers=False):
@@ -224,11 +206,14 @@ def build_contour(spectra, domain, margin):
     """Conjugate-symmetric contour around spectral points inside a domain.
 
     Raises GeometryError when a point lacks clearance ``> margin`` inside the
-    domain or a merged circle escapes it.
+    domain or a merged circle escapes it.  With ``domain`` None (an entire
+    function) the contour is not checked against any domain.
     """
     spectra = [complex(s) for s in spectra]
     if not spectra:
         raise InvalidArgumentError("no spectral points given")
+    if domain is None:
+        return Contour(tuple(enclosing_circles(spectra, margin)))
     for s in spectra:
         if domain.clearance(s) <= margin:
             raise GeometryError(f"point {s} lacks clearance {margin} inside the domain")
@@ -253,17 +238,16 @@ def _check_contour_in_domain(F, gamma):
             raise DomainError("contour is not inside the function domain")
 
 
-def cauchy_transform(F, q, gamma, cfg=None, return_diagnostics=False):
-    """Contour-integral value of ``F`` at ``q``.
+def cauchy_transform(F, q, gamma, tol=1e-10):
+    """Contour-integral value of ``F`` at ``q``, and its QuadratureDiagnostics.
 
-    Doubles the node count per circle from ``cfg.nodes_per_circle`` (16 by
-    default) until the totals settle to ``cfg.rel_tol`` or to the rounding
-    floor under the rule of ``_trapezoid_doubling``, at the third level (64
-    nodes per circle from the default start) at the earliest.  A tolerance
-    out of reach of the floor, or a climb past ``cfg.max_nodes``, is a stall:
-    an AccuracyWarning and ``converged`` false in the diagnostics.  A
-    non-finite total raises NumericError.  For stem functions the value
-    coincides with the closed spectral form.
+    Doubles the node count per circle from 16 until the totals settle to the
+    relative tolerance ``tol`` or to the rounding floor under the rule of
+    ``_trapezoid_doubling``, at the third level (64 nodes per circle) at the
+    earliest.  A tolerance out of reach of the floor, or a climb past 2^18
+    nodes per circle, is a stall: AccuracyError, with the best-effort value
+    and diagnostics on it.  A non-finite total raises NumericError.  For
+    stem functions the value coincides with the closed spectral form.
     """
     if not isinstance(q, Quaternion):
         raise InvalidArgumentError("cauchy_transform expects a Quaternion")
@@ -282,18 +266,18 @@ def cauchy_transform(F, q, gamma, cfg=None, return_diagnostics=False):
         terms = (F(z) @ resolvent) * (c.radius * unit)[:, None, None]
         return _compensated_sum(terms), float(np.linalg.norm(terms, axis=(1, 2)).sum())
 
-    value, diag = _trapezoid_doubling(circle_sum, gamma.circles, cfg)
-    return (value, diag) if return_diagnostics else value
+    return _trapezoid_doubling(circle_sum, gamma.circles, tol)
 
 
-def cauchy_derivative(F, order, q, gamma, cfg=None, return_diagnostics=False):
-    """Contour value of the order-th analytic derivative of ``F`` at ``q``."""
+def cauchy_derivative(F, order, q, gamma, tol=1e-10):
+    """Contour value of the order-th analytic derivative of ``F`` at ``q``,
+    and its QuadratureDiagnostics."""
     if order < 0:
         raise InvalidArgumentError("derivative order must be >= 0")
     G = F
     for _ in range(order):
         G = G.derivative()
-    return cauchy_transform(G, q, gamma, cfg, return_diagnostics)
+    return cauchy_transform(G, q, gamma, tol)
 
 
 def series_eval(coeffs, q, radius):

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class InvalidArgumentError(ValueError):
@@ -26,8 +26,13 @@ class NumericError(RuntimeError):
 
 
 class AccuracyError(ArithmeticError):
-    """A computed result misses its accuracy target by too much."""
+    """A computed result misses its accuracy target by too much.
 
+    A quadrature that stalls keeps its best-effort ``value`` and its
+    ``diagnostics`` on the error; otherwise both are None.
+    """
 
-class AccuracyWarning(UserWarning):
-    """Quadrature stopped refining before reaching its tolerance."""
+    def __init__(self, message, value=None, diagnostics=None):
+        super().__init__(message)
+        self.value = value
+        self.diagnostics = diagnostics

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .quat_core import (
     Quaternion,
-    dist_to_quaternions,
     skew_conjugate,
     spectral_projections,
     spectrum,
@@ -568,8 +567,3 @@ def zero_set_contains(F, q, tol=1e-12):
     v_plus = np.max(np.abs(F(sp.s_plus)))
     v_minus = np.max(np.abs(F(sp.s_minus)))
     return bool(v_plus <= tol and v_minus <= tol)
-
-
-def eval_dist_to_quaternions(F, q):
-    """Distance of the spectral-calculus value to the quaternion subalgebra."""
-    return dist_to_quaternions(eval_spectral(F, q))

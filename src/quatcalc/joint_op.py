@@ -344,12 +344,13 @@ def _fold(x):
 _SURFACE_CHUNK = 65536
 
 
-def martinelli_calculus(f, pair, grid, imag_tol=1e-6, return_diagnostics=False):
+def martinelli_calculus(f, pair, grid, imag_tol=1e-6):
     """Two-variable calculus ``f(T1, T2)`` by surface quadrature.
 
     Evaluates ``f`` at every node of the sphere grid, solves each distinct
     real pencil once for its mirror class of nodes (see the module
-    docstring), and returns the real restriction of the sum.  Polynomials
+    docstring), and returns the real restriction of the sum with the
+    diagnostics ``{"nodes", "imag_defect", "min_margin"}``.  Polynomials
     reproduce ``sum c[a,b] T1^a T2^b`` up to grid error.  Raises
     GeometryError for insufficient enclosure and AccuracyError when the
     imaginary residue exceeds ``imag_tol`` relative to scale.
@@ -396,7 +397,5 @@ def martinelli_calculus(f, pair, grid, imag_tol=1e-6, return_diagnostics=False):
             f"imaginary residue {imag_defect:.3e} exceeds {imag_tol:g} x scale; "
             "refine the grid or check the symmetry of f"
         )
-    result = value.real.copy()
-    if return_diagnostics:
-        return result, {"nodes": res**3, "imag_defect": imag_defect, "min_margin": min_margin}
-    return result
+    diagnostics = {"nodes": res**3, "imag_defect": imag_defect, "min_margin": min_margin}
+    return value.real.copy(), diagnostics

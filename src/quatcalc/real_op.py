@@ -243,17 +243,17 @@ def operator_contour(T):
     return Contour(tuple(circles))
 
 
-def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False):
+def op_calculus(F, T, tol=1e-10, contour=None):
     """Analytic calculus ``F(T)`` for a flat-symmetric operator function.
 
-    Integrates ``F(z)(z - T_C)^-1`` with node doubling over ``contour``, or
-    by default over ``operator_contour(T)``: real-centered circles at least
-    1.0 (and 5% of the spectral radius) clear of every eigenvalue, on whose
-    disks F must be analytic.  It checks flat invariance of a converged value
-    to 1e-8 times its scale, and returns the real restriction.  A stalled
-    value is not checked: its rounding noise can exceed 1e-8 on a symmetric
-    input, and the stall (an AccuracyWarning, ``converged`` false) is its
-    failure.  A non-finite quadrature total raises NumericError.
+    Integrates ``F(z)(z - T_C)^-1`` with node doubling to the relative
+    tolerance ``tol`` over ``contour``, or by default over
+    ``operator_contour(T)``: real-centered circles at least 1.0 (and 5% of
+    the spectral radius) clear of every eigenvalue, on whose disks F must be
+    analytic.  It checks flat invariance of the value to 1e-8 times its
+    scale, and returns the real restriction, its QuadratureDiagnostics and
+    the flat defect.  A stall raises AccuracyError with the unchecked
+    complex value on it; a non-finite quadrature total raises NumericError.
 
     With ``F = sum_j g_j A_j`` a circle's node sum is
     ``sum_j A_j S_j``, ``S_j = sum_k w_k g_j(z_k) (z_k - T)^-1``.  F is
@@ -301,18 +301,15 @@ def op_calculus(F, T, cfg=None, contour=None, return_diagnostics=False):
         magnitude = a_norm @ (np.abs(a) + np.abs(b)) @ np.linalg.norm(R, axis=1)
         return np.tensordot(F.coeffs, S, axes=([0, 2], [0, 1])), float(magnitude)
 
-    value, diag = _trapezoid_doubling(circle_sum, gamma.circles, cfg)
+    value, diag = _trapezoid_doubling(circle_sum, gamma.circles, tol)
     scale = max(1.0, float(np.linalg.norm(value)))
     flat_defect = float(np.linalg.norm(value - flat(value)))
-    if diag.converged and flat_defect > _FLAT_REL_TOL * scale:
+    if flat_defect > _FLAT_REL_TOL * scale:
         raise ContractViolationError(
             f"result breaks flat invariance (defect {flat_defect:.3e}); "
             "input is outside the conjugation-symmetric class"
         )
-    result = value.real.copy()
-    if return_diagnostics:
-        return result, diag, flat_defect
-    return result
+    return value.real.copy(), diag, flat_defect
 
 
 def discrete_mult_op(thetas):

@@ -62,3 +62,15 @@ def quat_close(p, q, tol=1e-12):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def quadrature_nodes(monkeypatch):
+    """Setter of the trapezoid driver's start and cap, in nodes per circle."""
+    from quatcalc import contour_calc
+
+    def set_nodes(start=16, cap=2**18):
+        monkeypatch.setattr(contour_calc, "_START_NODES", start)
+        monkeypatch.setattr(contour_calc, "_MAX_NODES", cap)
+
+    return set_nodes

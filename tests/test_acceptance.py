@@ -127,7 +127,7 @@ def test_criterion_03_quaternion_valued_criterion():
             F = _random_stem(rng)
             for _ in range(100):
                 q = random_quaternion(rng, 2.0)
-                assert qc.eval_dist_to_quaternions(F, q) <= 1e-10
+                assert qc.dist_to_quaternions(qc.eval_spectral(F, q)) <= 1e-10
 
         produced = 0
         attempts = 0
@@ -152,19 +152,19 @@ def test_criterion_03_quaternion_valued_criterion():
                 if abs(u) > abs(witness.imag):
                     u *= rng.uniform() * abs(witness.imag) / abs(u)
                 q = qc.quaternions_with_spectrum(witness, u)
-                worst = max(worst, qc.eval_dist_to_quaternions(F, q))
+                worst = max(worst, qc.dist_to_quaternions(qc.eval_spectral(F, q)))
                 if worst >= 1e-4:
                     break
             assert worst >= 1e-4
         assert time.perf_counter() - started < 30.0
 
 
-def test_criterion_04_contour_matches_spectral():
+def test_criterion_04_contour_matches_spectral(quadrature_nodes):
     with criterion(4, "contour versus spectral calculus"):
         started = time.perf_counter()
         rng = np.random.default_rng(404)
         domain = qc.SymmetricDomain.disk(0.0, 50.0)
-        cfg = qc.QuadratureConfig(nodes_per_circle=1024, max_nodes=2**18, rel_tol=1e-10)
+        quadrature_nodes(1024, 2**18)
         stems = [
             random_hpoly(rng, 6),
             random_hpoly(rng, 4),
@@ -177,18 +177,18 @@ def test_criterion_04_contour_matches_spectral():
                 q = random_quaternion(rng)
                 sp = qc.spectrum(q)
                 gamma = qc.build_contour([sp.s_plus, sp.s_minus], domain, 0.4)
-                got, diag = qc.cauchy_transform(F, q, gamma, cfg, return_diagnostics=True)
+                got, diag = qc.cauchy_transform(F, q, gamma, 1e-10)
                 assert diag.nodes_per_circle <= 4096
                 want = qc.eval_spectral(F, q)
                 assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
         assert time.perf_counter() - started < 60.0
 
 
-def test_criterion_05_polynomial_and_derivative_forms():
+def test_criterion_05_polynomial_and_derivative_forms(quadrature_nodes):
     with criterion(5, "polynomial reproduction and derivative formula"):
         rng = np.random.default_rng(505)
         domain = qc.SymmetricDomain.disk(0.0, 50.0)
-        cfg = qc.QuadratureConfig(nodes_per_circle=256, max_nodes=2**16, rel_tol=1e-12)
+        quadrature_nodes(256, 2**16)
         for _ in range(25):
             P = random_hpoly(rng, int(rng.integers(1, 7)))
             q = random_quaternion(rng)
@@ -196,13 +196,13 @@ def test_criterion_05_polynomial_and_derivative_forms():
             gamma = qc.build_contour([sp.s_plus, sp.s_minus], domain, 0.4)
 
             want = qc.hpoly_eval(P.coeffs, q).matrix()
-            got = qc.cauchy_transform(P, q, gamma, cfg)
+            got, _ = qc.cauchy_transform(P, q, gamma, 1e-12)
             assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
             want_d = qc.hpoly_eval(
                 [a * float(k) for k, a in enumerate(P.coeffs) if k >= 1], q
             ).matrix()
-            got_d = qc.cauchy_derivative(P, 1, q, gamma, cfg)
+            got_d, _ = qc.cauchy_derivative(P, 1, q, gamma, 1e-12)
             assert np.linalg.norm(got_d - want_d) <= 1e-10 * max(1.0, np.linalg.norm(want_d))
 
 
@@ -313,7 +313,7 @@ def test_criterion_09_rotation_block_closed_form():
             T = np.array([[u, v], [-v, u]])
             for scalar, fn in cases:
                 F = qc.MatrixCoefficientFunction.from_scalar(scalar, 2)
-                got = qc.op_calculus(F, T)
+                got, _, _ = qc.op_calculus(F, T)
                 want = (0.5 * fn(u + 1j * v) * a + 0.5 * fn(u - 1j * v) * b).real
                 assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
@@ -406,7 +406,7 @@ def test_criterion_12_martinelli_reproduction():
             for a, b in monomials:
                 f = qc.TwoVariablePolynomial.monomial(a, b)
                 want = np.linalg.matrix_power(pair.t1, a) @ np.linalg.matrix_power(pair.t2, b)
-                got = qc.martinelli_calculus(f, pair, grid)
+                got, _ = qc.martinelli_calculus(f, pair, grid)
                 assert np.linalg.norm(got - want) <= 1e-4 * max(1.0, np.linalg.norm(want))
             assert time.perf_counter() - case_start < 60.0
 
@@ -418,7 +418,7 @@ def test_criterion_12_martinelli_reproduction():
             grid = qc.enclosing_sphere_grid(pair, resolution=8)
             errs = []
             for g in (grid, grid.with_resolution(16)):
-                got = qc.martinelli_calculus(f, pair, g, imag_tol=1.0)
+                got, _ = qc.martinelli_calculus(f, pair, g, imag_tol=1.0)
                 errs.append(np.linalg.norm(got - want))
             assert errs[1] <= errs[0] / 4.0 or errs[1] <= 1e-10
         assert time.perf_counter() - suite_start < 1800.0
@@ -443,5 +443,5 @@ def test_criterion_13_flat_invariance_family():
                         (rng.standard_normal((n, n)), qc.Polynomial(rng.standard_normal(3))),
                     ]
                 )
-            value, _, flat_defect = qc.op_calculus(F, T, return_diagnostics=True)
+            value, _, flat_defect = qc.op_calculus(F, T)
             assert flat_defect <= 1e-8 * max(1.0, float(np.linalg.norm(value)))

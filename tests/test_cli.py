@@ -2,13 +2,15 @@ import copy
 import functools
 import json
 import operator
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quatcalc import AccuracyWarning, J, K, L, cli
+import quatcalc as qc
+from quatcalc import J, K, L, cli
 
 from conftest import quaternionic_operator, right_mult_matrix
 
@@ -59,7 +61,6 @@ def test_eval_exp_contour_vs_series(capsys):
     want = np.cos(1.0) * np.eye(2) + np.sin(1.0) * np.array([[1j, 0], [0, -1j]])
     np.testing.assert_allclose(value, want, atol=1e-10)
     assert result["dist_to_quaternions"] <= 1e-10
-    assert result["diagnostics"]["converged"]
     assert result["diagnostics"]["nodes_per_circle"] <= 4096
 
 
@@ -431,8 +432,6 @@ def test_slice_grid_of_10000_is_accepted(capsys):
     assert abs(json.loads(out)["result"]["max_defect"] - 1.0) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_slice_value_exits_2(capsys, monkeypatch):
     # exp overflows on the slice disk of radius 2000; the SVD of the
     # defects used to fail to converge on the NaNs
@@ -582,8 +581,6 @@ def test_module_entry_point(tmp_path):
                   "quaternion": [1e200, 0, 0, 0], "method": "spectral"}),
     ],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_value_exits_2(capsys, command, doc):
     code, out = run_cli(capsys, command, doc)
     assert code == 2
@@ -609,8 +606,7 @@ EXP_STALL = {"function": {"kind": "scalar", "f": {"kind": "exp"}}, "quaternion":
     ],
 )
 def test_quadrature_stall_exits_3(capsys, command, doc, flags):
-    with pytest.warns(AccuracyWarning):
-        code, out = run_cli(capsys, command, doc, *flags)
+    code, out = run_cli(capsys, command, doc, *flags)
     assert code == 3
     assert out == ""
 
@@ -620,6 +616,38 @@ def _assert_error_exit(code, out, err, want):
     assert out == ""
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, want",
+    [
+        # exp overflows on the contour: numpy warns before the total is found
+        # to be non-finite
+        ("op-calc", {"matrix": [[1e300, 0.0], [0.0, 1.0]],
+                     "function": {"kind": "op-scalar", "f": {"kind": "exp"}}}, (), 2),
+        ("eval", EXP_STALL, ("--margin", "12.25"), 3),
+    ],
+)
+def test_exit_code_does_not_depend_on_the_warning_filter(capsys, command, doc, flags, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli_err(capsys, command, doc, *flags)
+    _assert_error_exit(code, out, err, want)
+
+
+def test_contour_is_checked_against_the_document_domain_only(capsys):
+    # exp is entire: without a domain the merged circle of radius 7 about
+    # the spectrum +-i is checked against nothing
+    doc = dict(STEM_EXP, quaternion=[0, 1, 0, 0])
+    code, out = run_cli(capsys, "eval", doc, "--margin", "6")
+    assert code == 0
+    result = json.loads(out)["result"]
+    value = np.array([[as_complex(v) for v in row] for row in result["value"]])
+    want = qc.eval_spectral(qc.ScalarStem(qc.Exp()), J)
+    assert np.linalg.norm(value - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+    small = dict(doc, domain=[{"center": {"re": 0, "im": 0}, "radius": 6.5}])
+    code, out, err = run_cli_err(capsys, "eval", small, "--margin", "6")
+    _assert_error_exit(code, out, err, 2)
 
 
 ONE = {"re": 1, "im": 0}
@@ -779,10 +807,6 @@ def mutated_jobs(draw):
     return command, doc, flags
 
 
-# A CLI user sees these warnings on stderr; under the suite's warnings-as-
-# errors they would surface as exit 4.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore::quatcalc.AccuracyWarning")
 @settings(max_examples=500, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutated_jobs())

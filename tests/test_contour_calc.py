@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +12,14 @@ from conftest import random_hpoly, random_quaternion
 BIG_DISK = qc.SymmetricDomain.disk(0.0, 20.0)
 
 
-def small_cfg(rel_tol=1e-12, start=64, cap=2**14):
-    return qc.QuadratureConfig(nodes_per_circle=start, max_nodes=cap, rel_tol=rel_tol)
+#: Tolerance of the value tests, which start at 64 nodes per circle and cap
+#: at 2^14 (the ``small_nodes`` fixture).
+SMALL_TOL = 1e-12
+
+
+@pytest.fixture
+def small_nodes(quadrature_nodes):
+    quadrature_nodes(64, 2**14)
 
 
 def contour_for(q, margin=0.3, domain=BIG_DISK):
@@ -22,16 +27,11 @@ def contour_for(q, margin=0.3, domain=BIG_DISK):
     return qc.build_contour([sp.s_plus, sp.s_minus], domain, margin)
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(qc.InvalidArgumentError):
-        qc.QuadratureConfig(nodes_per_circle=100)
-    with pytest.raises(qc.InvalidArgumentError):
-        qc.QuadratureConfig(nodes_per_circle=8)
-    with pytest.raises(qc.InvalidArgumentError):
-        qc.QuadratureConfig(nodes_per_circle=1024, max_nodes=512)
-    for rel_tol in (math.nan, math.inf, -1e-10):
+def test_tolerance_validation():
+    F = qc.ScalarStem(qc.Exp())
+    for tol in (math.nan, math.inf, -1e-10):
         with pytest.raises(qc.InvalidArgumentError):
-            qc.QuadratureConfig(rel_tol=rel_tol)
+            qc.cauchy_transform(F, J, contour_for(J), tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +83,20 @@ def test_build_contour_clearance_error():
 # transform values
 
 
-def test_constant_reproduces_identity(rng):
+def test_constant_reproduces_identity(rng, small_nodes):
     F = qc.ScalarStem(qc.Polynomial([1.0]))
     q = random_quaternion(rng)
-    val = qc.cauchy_transform(F, q, contour_for(q), small_cfg())
+    val = qc.cauchy_transform(F, q, contour_for(q), SMALL_TOL)[0]
     np.testing.assert_allclose(val, np.eye(2), atol=1e-12)
 
 
-def test_coordinate_reproduces_argument(rng):
+def test_coordinate_reproduces_argument(rng, small_nodes):
     F = qc.ScalarStem(qc.Polynomial([0.0, 1.0]))
-    val = qc.cauchy_transform(F, J, contour_for(J), small_cfg())
+    val = qc.cauchy_transform(F, J, contour_for(J), SMALL_TOL)[0]
     np.testing.assert_allclose(val, J.matrix(), atol=1e-12)
 
 
-def test_exponential_against_series_oracle():
+def test_exponential_against_series_oracle(small_nodes):
     y = 1.3
     q = J * y
     # oracle: partial sums of sum q^k / k! to 30 terms
@@ -105,12 +105,12 @@ def test_exponential_against_series_oracle():
     for k in range(30):
         acc += power.matrix() / math.factorial(k)
         power = power * q
-    val = qc.cauchy_transform(qc.ScalarStem(qc.Exp()), q, contour_for(q), small_cfg())
+    val = qc.cauchy_transform(qc.ScalarStem(qc.Exp()), q, contour_for(q), SMALL_TOL)[0]
     np.testing.assert_allclose(val, acc, atol=1e-12)
     np.testing.assert_allclose(val, np.cos(y) * np.eye(2) + np.sin(y) * J.matrix(), atol=1e-12)
 
 
-def test_agreement_with_spectral_values(rng):
+def test_agreement_with_spectral_values(rng, small_nodes):
     stems = [
         random_hpoly(rng, 4),
         qc.ScalarStem(qc.Exp()),
@@ -121,40 +121,40 @@ def test_agreement_with_spectral_values(rng):
         for _ in range(10):
             q = random_quaternion(rng)
             want = qc.eval_spectral(F, q)
-            got = qc.cauchy_transform(F, q, contour_for(q), small_cfg())
+            got = qc.cauchy_transform(F, q, contour_for(q), SMALL_TOL)[0]
             assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
-def test_polynomial_reproduction(rng):
+def test_polynomial_reproduction(rng, small_nodes):
     for _ in range(20):
         P = random_hpoly(rng, 6)
         q = random_quaternion(rng)
         want = qc.hpoly_eval(P.coeffs, q).matrix()
-        got = qc.cauchy_transform(P, q, contour_for(q), small_cfg())
+        got = qc.cauchy_transform(P, q, contour_for(q), SMALL_TOL)[0]
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
-def test_contour_independence(rng):
+def test_contour_independence(rng, small_nodes):
     F = qc.ScalarStem(qc.Exp())
     q = random_quaternion(rng)
-    a = qc.cauchy_transform(F, q, contour_for(q, margin=0.2), small_cfg())
-    b = qc.cauchy_transform(F, q, contour_for(q, margin=0.7), small_cfg())
+    a = qc.cauchy_transform(F, q, contour_for(q, margin=0.2), SMALL_TOL)[0]
+    b = qc.cauchy_transform(F, q, contour_for(q, margin=0.7), SMALL_TOL)[0]
     assert np.linalg.norm(a - b) <= 4e-12 * max(1.0, np.linalg.norm(a))
 
 
-def test_geometric_convergence_on_exp():
-    # spectrum close to the contour: each doubling gains at least 10x
+def test_geometric_convergence_on_exp(quadrature_nodes):
+    # spectrum close to the contour: each doubling gains at least 10x; a
+    # start at the cap stalls at once and carries its fixed-N value
     q = J * 0.9
     gamma = qc.Contour((qc.Circle(0j, 1.0),))
     F = qc.ScalarStem(qc.Exp())
     want = qc.eval_spectral(F, q)
     defects = []
     for n in (64, 128, 256):
-        cfg = qc.QuadratureConfig(nodes_per_circle=n, max_nodes=n, rel_tol=1e-30)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", qc.AccuracyWarning)
-            got = qc.cauchy_transform(F, q, gamma, cfg)
-        defects.append(np.linalg.norm(got - want))
+        quadrature_nodes(n, n)
+        with pytest.raises(qc.AccuracyError) as stall:
+            qc.cauchy_transform(F, q, gamma, 1e-30)
+        defects.append(np.linalg.norm(stall.value.value - want))
     assert defects[1] <= defects[0] / 10.0
     assert defects[2] <= defects[1] / 10.0
 
@@ -162,9 +162,9 @@ def test_geometric_convergence_on_exp():
 def test_spectrum_on_contour_rejected():
     gamma = qc.Contour((qc.Circle(0j, 1.0),))
     with pytest.raises(qc.GeometryError):
-        qc.cauchy_transform(qc.ScalarStem(qc.Exp()), J, gamma, small_cfg())
+        qc.cauchy_transform(qc.ScalarStem(qc.Exp()), J, gamma)
     with pytest.raises(qc.GeometryError):
-        qc.cauchy_transform(qc.ScalarStem(qc.Exp()), J * 2.0, gamma, small_cfg())
+        qc.cauchy_transform(qc.ScalarStem(qc.Exp()), J * 2.0, gamma)
 
 
 def test_contour_outside_function_domain():
@@ -172,19 +172,16 @@ def test_contour_outside_function_domain():
     F = qc.ScalarStem(qc.Exp(), domain=dom)
     gamma = qc.Contour((qc.Circle(0j, 1.5),))
     with pytest.raises(qc.DomainError):
-        qc.cauchy_transform(F, J * 0.5, gamma, small_cfg())
+        qc.cauchy_transform(F, J * 0.5, gamma)
 
 
-def test_non_convergence_warns():
+def test_non_convergence_raises(quadrature_nodes):
     q = J * 0.999
     gamma = qc.Contour((qc.Circle(0j, 1.0),))
-    cfg = qc.QuadratureConfig(nodes_per_circle=16, max_nodes=32, rel_tol=1e-14)
-    with pytest.warns(qc.AccuracyWarning):
-        _, diag = qc.cauchy_transform(
-            qc.ScalarStem(qc.Exp()), q, gamma, cfg, return_diagnostics=True
-        )
-    assert not diag.converged
-    assert diag.est_error > 0
+    quadrature_nodes(16, 32)
+    with pytest.raises(qc.AccuracyError) as stall:
+        qc.cauchy_transform(qc.ScalarStem(qc.Exp()), q, gamma, 1e-14)
+    assert stall.value.diagnostics.est_error > 0
 
 
 def test_tolerance_below_the_rounding_floor_stalls_early():
@@ -195,11 +192,9 @@ def test_tolerance_below_the_rounding_floor_stalls_early():
     q = qc.make_quaternion(0.5, 12.0, 0.0, 0.0)
     gamma = contour_for(q, margin=12.25, domain=qc.SymmetricDomain.disk(0.0, 50.0))
     assert len(gamma.circles) == 1
-    with pytest.warns(qc.AccuracyWarning):
-        value, diag = qc.cauchy_transform(
-            qc.ScalarStem(qc.Exp()), q, gamma, qc.QuadratureConfig(), return_diagnostics=True
-        )
-    assert not diag.converged
+    with pytest.raises(qc.AccuracyError) as stall:
+        qc.cauchy_transform(qc.ScalarStem(qc.Exp()), q, gamma)
+    value, diag = stall.value.value, stall.value.diagnostics
     assert diag.nodes_per_circle <= 2**12
     assert diag.rounding_floor > 100 * 1e-10 * np.linalg.norm(value)
 
@@ -222,14 +217,15 @@ class CountingStem(qc.ScalarStem):
 
 #: A start two doublings below the 2048 nodes the node-reuse tests count,
 #: which the driver reaches at its first decision, the third level.
-REUSE_CFG = qc.QuadratureConfig(nodes_per_circle=512)
+REUSE_START = 512
 
 
-def test_doubling_evaluates_each_node_once():
+def test_doubling_evaluates_each_node_once(quadrature_nodes):
+    quadrature_nodes(REUSE_START)
     F = CountingStem(qc.Exp())
     gamma = contour_for(J)
-    _, diag = qc.cauchy_transform(F, J, gamma, REUSE_CFG, return_diagnostics=True)
-    assert diag.converged and diag.nodes_per_circle == 2048
+    _, diag = qc.cauchy_transform(F, J, gamma)
+    assert diag.nodes_per_circle == 2048
     assert F.points == 2048 * len(gamma.circles)
 
 
@@ -244,12 +240,12 @@ def _kahan_sum(values):
     return total
 
 
-def _recomputing_cauchy_transform(F, q, gamma, cfg):
+def _recomputing_cauchy_transform(F, q, gamma, start):
     """Reference doubling loop that evaluates every node afresh at each level,
     sums them with a sequential Kahan loop, and stops by the driver's rule for
     integrands far above the rounding floor: from the third level on, once
-    the last change is within tolerance and either half the change before it
-    or that change is within tolerance too."""
+    the last change is within the default tolerance and either half the
+    change before it or that change is within tolerance too."""
     sp = qc.spectrum(q)
     e_plus, e_minus = qc.spectral_projections(q)
 
@@ -265,27 +261,28 @@ def _recomputing_cauchy_transform(F, q, gamma, cfg):
             acc = acc + _kahan_sum((F(z) @ resolvent) * ((c.radius / nodes) * unit)[:, None, None])
         return acc
 
-    nodes = cfg.nodes_per_circle
+    nodes = start
     values = [total(nodes)]
-    while nodes * 2 <= cfg.max_nodes:
+    while nodes * 2 <= 2**18:
         nodes *= 2
         values.append(total(nodes))
         if len(values) >= 3:
             before, last = (np.linalg.norm(b - a) for a, b in zip(values[-3:], values[-2:]))
-            tol = cfg.rel_tol * max(1.0, np.linalg.norm(values[-1]))
+            tol = 1e-10 * max(1.0, np.linalg.norm(values[-1]))
             if last <= tol and (last <= before / 2 or before <= tol):
                 break
     return values[-1], nodes
 
 
-def test_two_circle_value_matches_recomputing_driver(rng):
+def test_two_circle_value_matches_recomputing_driver(rng, quadrature_nodes):
     q = qc.make_quaternion(0.3, 1.5, 0.2, 0.0)
     gamma = contour_for(q)
     assert len(gamma.circles) == 2
     stems = (qc.ScalarStem(qc.Exp()), qc.ScalarStem(qc.Sin()), random_hpoly(rng, 5))
-    for cfg, F in itertools.product((REUSE_CFG, qc.QuadratureConfig()), stems):
-        want, want_nodes = _recomputing_cauchy_transform(F, q, gamma, cfg)
-        got, diag = qc.cauchy_transform(F, q, gamma, cfg, return_diagnostics=True)
+    for start, F in itertools.product((REUSE_START, 16), stems):
+        quadrature_nodes(start)
+        want, want_nodes = _recomputing_cauchy_transform(F, q, gamma, start)
+        got, diag = qc.cauchy_transform(F, q, gamma)
         assert diag.nodes_per_circle == want_nodes
         assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
 
@@ -324,36 +321,36 @@ def test_compensated_sum_matches_fsum(rng, k):
 # derivatives
 
 
-def test_derivative_of_square_is_double(rng):
+def test_derivative_of_square_is_double(rng, small_nodes):
     F = qc.ScalarStem(qc.Polynomial([0, 0, 1]))
     q = random_quaternion(rng)
-    got = qc.cauchy_derivative(F, 1, q, contour_for(q), small_cfg())
+    got = qc.cauchy_derivative(F, 1, q, contour_for(q), SMALL_TOL)[0]
     np.testing.assert_allclose(got, 2.0 * q.matrix(), atol=1e-10 * max(1, q.norm()))
 
 
-def test_zeroth_derivative_is_transform(rng):
+def test_zeroth_derivative_is_transform(rng, small_nodes):
     F = qc.ScalarStem(qc.Sin())
     q = random_quaternion(rng)
-    a = qc.cauchy_derivative(F, 0, q, contour_for(q), small_cfg())
-    b = qc.cauchy_transform(F, q, contour_for(q), small_cfg())
+    a = qc.cauchy_derivative(F, 0, q, contour_for(q), SMALL_TOL)[0]
+    b = qc.cauchy_transform(F, q, contour_for(q), SMALL_TOL)[0]
     np.testing.assert_allclose(a, b, atol=1e-13)
 
 
-def test_third_derivative_of_exp_at_zero():
+def test_third_derivative_of_exp_at_zero(small_nodes):
     q = qc.Quaternion(0, 0)
     gamma = qc.Contour((qc.Circle(0j, 1.0),))
-    got = qc.cauchy_derivative(qc.ScalarStem(qc.Exp()), 3, q, gamma, small_cfg())
+    got = qc.cauchy_derivative(qc.ScalarStem(qc.Exp()), 3, q, gamma, SMALL_TOL)[0]
     np.testing.assert_allclose(got, np.eye(2), atol=1e-11)
 
 
-def test_hpoly_derivative_formula(rng):
+def test_hpoly_derivative_formula(rng, small_nodes):
     for _ in range(10):
         P = random_hpoly(rng, 5)
         q = random_quaternion(rng)
         want = qc.hpoly_eval(
             [a * float(k) for k, a in enumerate(P.coeffs) if k >= 1], q
         ).matrix()
-        got = qc.cauchy_derivative(P, 1, q, contour_for(q), small_cfg())
+        got = qc.cauchy_derivative(P, 1, q, contour_for(q), SMALL_TOL)[0]
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
@@ -387,12 +384,12 @@ def test_series_domain_error():
         qc.series_eval([I], J * 2.0, radius=1.0)
 
 
-def test_series_matches_contour(rng):
+def test_series_matches_contour(rng, small_nodes):
     coeffs = [random_quaternion(rng, 0.5) for _ in range(7)]
     P = qc.QuaternionPolynomial(coeffs)
     q = random_quaternion(rng)
     got = qc.series_eval(coeffs, q, radius=math.inf)
-    want = qc.cauchy_transform(P, q, contour_for(q), small_cfg())
+    want = qc.cauchy_transform(P, q, contour_for(q), SMALL_TOL)[0]
     assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 

@@ -201,7 +201,7 @@ def test_eval_spectral_non_stem_leaves_algebra():
     # direct two-projection evaluation: F(i) = 2i*I on E+, F(-i) = 0 on E-
     expected = 2j * 0.5 * np.array([[1, -1j], [1j, 1]])
     np.testing.assert_allclose(value, expected, atol=1e-14)
-    assert qc.eval_dist_to_quaternions(F, K) > 0.5
+    assert qc.dist_to_quaternions(qc.eval_spectral(F, K)) > 0.5
 
 
 def test_eval_spectral_embedded_slice_formula(rng):
@@ -279,7 +279,7 @@ def test_stems_produce_quaternions(rng):
         F = _random_stem(rng)
         for _ in range(20):
             q = random_quaternion(rng, 2.0)
-            assert qc.eval_dist_to_quaternions(F, q) <= 1e-10
+            assert qc.dist_to_quaternions(qc.eval_spectral(F, q)) <= 1e-10
 
 
 def test_non_stems_produce_witnesses(rng):
@@ -300,7 +300,7 @@ def test_non_stems_produce_witnesses(rng):
             if abs(u) > abs(witness.imag):
                 u *= rng.uniform() * abs(witness.imag) / abs(u)
             q = qc.quaternions_with_spectrum(witness, u)
-            worst = max(worst, qc.eval_dist_to_quaternions(F, q))
+            worst = max(worst, qc.dist_to_quaternions(qc.eval_spectral(F, q)))
         assert worst >= 1e-4
 
 
@@ -336,7 +336,7 @@ def test_quaternion_valued_symmetric_functions(rng):
     F = qc.CallableMatrixFunction(fn)
     for _ in range(50):
         q = random_quaternion(rng, 2.0)
-        assert qc.eval_dist_to_quaternions(F, q) <= 1e-10
+        assert qc.dist_to_quaternions(qc.eval_spectral(F, q)) <= 1e-10
 
 
 class _ReflectedRows(qc.MatrixFunction):

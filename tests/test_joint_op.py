@@ -172,7 +172,7 @@ def test_constant_reproduction_scalar_pair():
     pair = qc.CommutingPair(np.array([[0.0]]), np.array([[0.0]]))
     grid = qc.SphereGrid((0.0, 0.0), 1.0, 16)
     one = qc.TwoVariablePolynomial([[1.0]])
-    value = qc.martinelli_calculus(one, pair, grid)
+    value, _ = qc.martinelli_calculus(one, pair, grid)
     np.testing.assert_allclose(value, [[1.0]], atol=1e-12)
 
 
@@ -187,14 +187,14 @@ def test_monomials_reproduce_substitution(rng):
         ((1, 1), pair.t1 @ pair.t2),
     ]
     for (a, b), want in cases:
-        got = qc.martinelli_calculus(qc.TwoVariablePolynomial.monomial(a, b), pair, grid)
+        got, _ = qc.martinelli_calculus(qc.TwoVariablePolynomial.monomial(a, b), pair, grid)
         assert np.linalg.norm(got - want) <= 1e-4 * max(1.0, np.linalg.norm(want))
 
 
 def test_complex_eigenvalue_pair(rng):
     pair = rotation_pair(0.7, 1.1, -0.4, 0.6)
     grid = qc.enclosing_sphere_grid(pair, resolution=48)
-    got = qc.martinelli_calculus(qc.TwoVariablePolynomial.monomial(1, 1), pair, grid)
+    got, _ = qc.martinelli_calculus(qc.TwoVariablePolynomial.monomial(1, 1), pair, grid)
     want = pair.t1 @ pair.t2
     assert np.linalg.norm(got - want) <= 1e-6
 
@@ -203,7 +203,7 @@ def test_separable_function(rng):
     pair, _ = random_commuting_pair(rng, 2, scale=0.6)
     grid = qc.enclosing_sphere_grid(pair, resolution=48)
     f = qc.SeparableProduct(qc.Exp(), qc.Polynomial([1.0, 1.0]))
-    got = qc.martinelli_calculus(f, pair, grid)
+    got, _ = qc.martinelli_calculus(f, pair, grid)
     # oracle by simultaneous diagonalization through the joint eigenvectors
     pts = qc.joint_spectrum_points(pair)
     import scipy.linalg
@@ -219,7 +219,7 @@ def test_doubling_resolution_reduces_error(rng):
     grid = qc.enclosing_sphere_grid(pair, resolution=8)
     errs = []
     for g in (grid, grid.with_resolution(16)):
-        errs.append(np.linalg.norm(qc.martinelli_calculus(f, pair, g, imag_tol=1.0) - want))
+        errs.append(np.linalg.norm(qc.martinelli_calculus(f, pair, g, imag_tol=1.0)[0] - want))
     assert errs[1] <= errs[0] / 4.0 or errs[1] <= 1e-10
 
 
@@ -228,8 +228,8 @@ def test_two_admissible_spheres_agree(rng):
     f = qc.TwoVariablePolynomial.monomial(2, 0)
     g1 = qc.enclosing_sphere_grid(pair, resolution=48, margin=1.0)
     g2 = qc.enclosing_sphere_grid(pair, resolution=48, margin=1.8)
-    a = qc.martinelli_calculus(f, pair, g1)
-    b = qc.martinelli_calculus(f, pair, g2)
+    a, _ = qc.martinelli_calculus(f, pair, g1)
+    b, _ = qc.martinelli_calculus(f, pair, g2)
     assert np.linalg.norm(a - b) <= 2e-6 * max(1.0, np.linalg.norm(a))
 
 
@@ -336,8 +336,8 @@ def test_surface_calculus_consistent_with_contour_calculus(rng):
         pair = qc.CommutingPair(pair.t1, np.zeros((2, 2)))
         f = qc.SeparableProduct(qc.Exp(), qc.Polynomial([1.0]))
         grid = qc.enclosing_sphere_grid(pair, resolution=48)
-        got = qc.martinelli_calculus(f, pair, grid)
-        want = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 2), pair.t1)
+        got, _ = qc.martinelli_calculus(f, pair, grid)
+        want, _, _ = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 2), pair.t1)
         assert np.linalg.norm(got - want) <= 1e-6 * max(1.0, np.linalg.norm(want))
 
 
@@ -391,9 +391,7 @@ def test_regrouped_quadrature_matches_solve_twice_reference(rng, res):
     skewed = qc.TwoVariablePolynomial([[0.0, 0.0, 1.0], [1j, 0.0, 0.0]])  # i z1 + z2^2
     for f, imag_tol in ((symmetric, 1e-6), (skewed, 1.0)):
         want = solve_twice_reference(f, pair, grid)
-        got, diag = qc.martinelli_calculus(
-            f, pair, grid, imag_tol=imag_tol, return_diagnostics=True
-        )
+        got, diag = qc.martinelli_calculus(f, pair, grid, imag_tol=imag_tol)
         scale = max(1.0, np.linalg.norm(want.real))
         want_defect = np.linalg.norm(want.imag)
         assert diag["nodes"] == res**3
@@ -411,9 +409,9 @@ def test_chunked_quadrature_matches_one_chunk(rng, monkeypatch, rows_per_chunk):
     grid = qc.enclosing_sphere_grid(pair, resolution=res)
     f = qc.SeparableProduct(qc.Exp(), qc.Polynomial([1.0, 0.5]))
     assert joint_op._SURFACE_CHUNK >= res**3
-    whole = qc.martinelli_calculus(f, pair, grid)
+    whole, _ = qc.martinelli_calculus(f, pair, grid)
     monkeypatch.setattr(joint_op, "_SURFACE_CHUNK", rows_per_chunk * res * res)
-    chunked = qc.martinelli_calculus(f, pair, grid)
+    chunked, _ = qc.martinelli_calculus(f, pair, grid)
     assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
 
 
@@ -430,7 +428,7 @@ def test_jordan_block_pair_reproduces_substitution(monkeypatch, with_spectrum):
         monkeypatch.setattr(joint_op, "joint_spectrum_points", no_points)
     for a, b in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]:
         want = np.linalg.matrix_power(pair.t1, a) @ np.linalg.matrix_power(pair.t2, b)
-        got = qc.martinelli_calculus(qc.TwoVariablePolynomial.monomial(a, b), pair, grid)
+        got, _ = qc.martinelli_calculus(qc.TwoVariablePolynomial.monomial(a, b), pair, grid)
         assert np.linalg.norm(got - want) <= 1e-4 * max(1.0, np.linalg.norm(want))
 
 

@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -197,7 +195,7 @@ def test_op_calculus_square_on_rotation(rng):
         F = qc.MatrixCoefficientFunction.from_polynomial(
             [np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)]
         )
-        np.testing.assert_allclose(qc.op_calculus(F, T), T @ T, atol=1e-8 * max(1, u * u + v * v))
+        np.testing.assert_allclose(qc.op_calculus(F, T)[0], T @ T, atol=1e-8 * max(1, u * u + v * v))
 
 
 @pytest.mark.parametrize(
@@ -213,7 +211,7 @@ def test_op_calculus_rotation_closed_form(rng, scalar, fn):
         u, v = rng.standard_normal(2)
         T = rotation_block(u, v)
         F = qc.MatrixCoefficientFunction.from_scalar(scalar, 2)
-        got = qc.op_calculus(F, T)
+        got, _, _ = qc.op_calculus(F, T)
         want = ex2_closed_form(fn, u, v)
         assert np.linalg.norm(want.imag) <= 1e-10 * max(1.0, np.linalg.norm(want))
         np.testing.assert_allclose(got, want.real, atol=1e-8 * max(1.0, np.linalg.norm(want)))
@@ -221,7 +219,7 @@ def test_op_calculus_rotation_closed_form(rng, scalar, fn):
 
 def test_op_calculus_exp_at_zero():
     F = qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 3)
-    np.testing.assert_allclose(qc.op_calculus(F, np.zeros((3, 3))), np.eye(3), atol=1e-10)
+    np.testing.assert_allclose(qc.op_calculus(F, np.zeros((3, 3)))[0], np.eye(3), atol=1e-10)
 
 
 def test_op_calculus_polynomial_reproduction(rng):
@@ -231,7 +229,7 @@ def test_op_calculus_polynomial_reproduction(rng):
         mats = [rng.standard_normal((n, n)) for _ in range(4)]
         F = qc.MatrixCoefficientFunction.from_polynomial(mats)
         want = sum(A @ np.linalg.matrix_power(T, k) for k, A in enumerate(mats))
-        got = qc.op_calculus(F, T)
+        got, _, _ = qc.op_calculus(F, T)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
 
@@ -241,7 +239,7 @@ def test_op_calculus_flat_invariance(rng):
         T = rng.standard_normal((n, n))
         terms = [(rng.standard_normal((n, n)), qc.Exp()), (rng.standard_normal((n, n)), qc.Polynomial(rng.standard_normal(3)))]
         F = qc.MatrixCoefficientFunction(terms)
-        _, _, flat_defect = qc.op_calculus(F, T, return_diagnostics=True)
+        _, _, flat_defect = qc.op_calculus(F, T)
         assert flat_defect <= 1e-8
 
 
@@ -254,10 +252,10 @@ def test_op_calculus_module_property(rng):
         )
         f = qc.Polynomial(rng.standard_normal(3))
         Ff = qc.MatrixCoefficientFunction([(A, qc.Product(g, f)) for A, g in F.terms])
-        left = qc.op_calculus(Ff, T)
-        right = qc.op_calculus(F, T) @ qc.op_calculus(
+        left = qc.op_calculus(Ff, T)[0]
+        right = qc.op_calculus(F, T)[0] @ qc.op_calculus(
             qc.MatrixCoefficientFunction.from_scalar(f, n), T
-        )
+        )[0]
         assert np.linalg.norm(left - right) <= 1e-8 * max(1.0, np.linalg.norm(left))
 
 
@@ -272,7 +270,7 @@ def test_op_calculus_opaque_symmetric(rng):
     T = rotation_block(0.3, 0.8)
     good = qc.MatrixCoefficientFunction.from_scalar(qc.Opaque(np.exp, symmetric=True), 2)
     np.testing.assert_allclose(
-        qc.op_calculus(good, T), ex2_closed_form(np.exp, 0.3, 0.8).real, atol=1e-8
+        qc.op_calculus(good, T)[0], ex2_closed_form(np.exp, 0.3, 0.8).real, atol=1e-8
     )
 
 
@@ -284,7 +282,7 @@ def test_quaternion_module_polynomials(rng):
         mats = [qc.left_mult_matrix(a) for a in coeffs]
         F = qc.MatrixCoefficientFunction.from_polynomial(mats)
         want = sum(A @ np.linalg.matrix_power(T, k) for k, A in enumerate(mats))
-        got = qc.op_calculus(F, T)
+        got, _, _ = qc.op_calculus(F, T)
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
@@ -349,12 +347,11 @@ def _fold_cases():
 @pytest.mark.parametrize("case", ["rotation-3x3", "split-8x8", "off-axis-contour", "opaque-exp"])
 def test_folded_quadrature_matches_per_node_reference(case):
     F, T, gamma = _fold_cases()[case]
-    got, diag, _ = qc.op_calculus(F, T, contour=gamma, return_diagnostics=True)
+    got, diag, _ = qc.op_calculus(F, T, contour=gamma)
     circles = (gamma or qc.operator_contour(T)).circles
     if case == "split-8x8":
         assert len(circles) == 2
     want = _per_node_trapezoid(F, T, circles, diag.nodes_per_circle)
-    assert diag.converged
     assert np.linalg.norm(got - want.real) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -385,7 +382,7 @@ class _CountingExp(qc.AnalyticScalar):
         return np.exp(z)
 
 
-def test_each_node_is_evaluated_once_and_half_are_solved(monkeypatch):
+def test_each_node_is_evaluated_once_and_half_are_solved(monkeypatch, quadrature_nodes):
     systems = []
     solve = np.linalg.solve
 
@@ -400,9 +397,9 @@ def test_each_node_is_evaluated_once_and_half_are_solved(monkeypatch):
     F = qc.MatrixCoefficientFunction.from_scalar(g, 2)
     # two doublings below the 2048 nodes counted here: the driver decides
     # first at its third level
-    cfg = qc.QuadratureConfig(nodes_per_circle=512)
-    _, diag, _ = qc.op_calculus(F, T, cfg, return_diagnostics=True)
-    assert diag.converged and diag.nodes_per_circle == 2048
+    quadrature_nodes(512)
+    _, diag, _ = qc.op_calculus(F, T)
+    assert diag.nodes_per_circle == 2048
     points = np.concatenate(g.points)
     assert points.size == 2048
     assert np.sum(np.abs(points.imag) <= 1e-12) == 2
@@ -419,9 +416,7 @@ def test_sine_of_non_normal_triangular_matrices(seed):
     rng = np.random.default_rng(seed)
     for n in (8, 12, 16):
         T = np.triu(rng.standard_normal((n, n)), 1) + np.diag(rng.standard_normal(n))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", qc.AccuracyWarning)
-            got = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Sin(), n), T)
+        got, _, _ = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Sin(), n), T)
         want = scipy.linalg.sinm(T)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
@@ -435,11 +430,9 @@ def test_exp_of_jordan_block_stops_at_its_rounding_floor(lam):
 
     T = lam * np.eye(8) + np.diag(np.ones(7), 1)
     F = qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", qc.AccuracyWarning)
-        got, diag, _ = qc.op_calculus(F, T, return_diagnostics=True)
+    got, diag, _ = qc.op_calculus(F, T)
     want = scipy.linalg.expm(T)
-    assert diag.converged and diag.nodes_per_circle <= 8192
+    assert diag.nodes_per_circle <= 8192
     assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
 
 
@@ -447,14 +440,16 @@ def test_stall_on_a_twelve_fold_eigenvalue_is_reported_as_a_stall():
     # radius 0.1 about a 12-fold eigenvalue: the resolvent reaches 1e12 and
     # the rounding floor lies far above 1e-10, so the driver stalls at once;
     # the noise of that value breaks flat invariance by more than 1e-8,
-    # which is no evidence against the symmetric input
+    # which is no evidence against the symmetric input, so the stall and
+    # not a contract error is what the caller sees
     T = np.eye(12) + np.diag(np.ones(11), 1)
     F = qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 12)
     tight = qc.Contour((qc.Circle(1.0, 0.1),))
-    with pytest.warns(qc.AccuracyWarning):
-        value, diag, flat_defect = qc.op_calculus(F, T, contour=tight, return_diagnostics=True)
-    assert not diag.converged
-    assert flat_defect > 1e-8 * np.linalg.norm(value)
+    with pytest.raises(qc.AccuracyError) as stall:
+        qc.op_calculus(F, T, contour=tight)
+    value = stall.value.value
+    flat_defect = np.linalg.norm(value - qc.flat(value))
+    assert flat_defect > 1e-8 * np.linalg.norm(value.real)
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -467,11 +462,9 @@ def test_default_contour_converges_on_large_jordan_blocks(scalar, reference, lam
 
     T = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
     F = qc.MatrixCoefficientFunction.from_scalar(getattr(qc, scalar)(), n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", qc.AccuracyWarning)
-        got, diag, _ = qc.op_calculus(F, T, return_diagnostics=True)
+    got, diag, _ = qc.op_calculus(F, T)
     want = getattr(scipy.linalg, reference)(T)
-    assert diag.converged and diag.nodes_per_circle <= 128
+    assert diag.nodes_per_circle <= 128
     assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
@@ -553,7 +546,7 @@ def test_operator_calculus_extends_quaternion_calculus(rng):
         for _ in range(5):
             q = random_quaternion(rng)
             T = qc.left_mult_matrix(q)
-            got = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(scalar, 4), T)
+            got, _, _ = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(scalar, 4), T)
             value = qc.as_quaternion(qc.eval_spectral(qc.ScalarStem(scalar), q))
             want = qc.left_mult_matrix(value)
             assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))

@@ -91,15 +91,15 @@ def test_report_passes_for_resolvent_kernel(rng):
     assert report.passed, report.max_defect
 
 
-def test_report_passes_for_contour_values(rng):
+def test_report_passes_for_contour_values(rng, quadrature_nodes):
     F = qc.ScalarStem(qc.Exp())
     dom = qc.SymmetricDomain.disk(0.0, 20.0)
-    cfg = qc.QuadratureConfig(nodes_per_circle=64, max_nodes=2**12, rel_tol=1e-12)
+    quadrature_nodes(64, 2**12)
 
     def G(q):
         sp = qc.spectrum(q)
         gamma = qc.build_contour([sp.s_plus, sp.s_minus], dom, 1.0)
-        return qc.cauchy_transform(F, q, gamma, cfg)
+        return qc.cauchy_transform(F, q, gamma, 1e-12)[0]
 
     grid = qc.SliceSampleGrid.random(DISK2, 12, 3, seed=6)
     report = qc.slice_regularity_report(qc.quaternionwise(G), grid, tol=1e-5)
