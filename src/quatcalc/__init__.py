@@ -73,7 +73,6 @@ from .contour_calc import (
     cauchy_derivative,
     cauchy_transform,
     derivative_bound,
-    enclosing_circles,
     series_eval,
     taylor_recompose,
 )

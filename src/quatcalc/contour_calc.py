@@ -157,13 +157,14 @@ def _trapezoid_doubling(circle_sum, circles, tol):
     )
 
 
-def enclosing_circles(points, margin, real_centers=False):
+def build_contour(points, margin, real_centers=False):
     """Conjugate-symmetric disjoint circles enclosing points with clearance.
 
     Starts from one circle per (conjugate-symmetrized) point, centered at
     the point with radius ``margin``, or centered on the real axis when
     ``real_centers`` is set; overlapping clusters merge into a single
-    real-centered circle keeping the same clearance.
+    real-centered circle keeping the same clearance.  Whether the circles
+    fit a function's domain is checked where the function is integrated.
     """
     if not margin > 0.0:
         raise InvalidArgumentError("margin must be positive")
@@ -173,6 +174,8 @@ def enclosing_circles(points, margin, real_centers=False):
         pts.append(p)
         if p.imag != 0.0:
             pts.append(p.conjugate())
+    if not pts:
+        raise InvalidArgumentError("no points given")
     # one (circle, supporting points) pair per distinct point
     groups = []
     for p in dict.fromkeys(pts):
@@ -199,29 +202,7 @@ def enclosing_circles(points, margin, real_centers=False):
                     break
             if merged:
                 break
-    return [c for _, c in groups]
-
-
-def build_contour(spectra, domain, margin):
-    """Conjugate-symmetric contour around spectral points inside a domain.
-
-    Raises GeometryError when a point lacks clearance ``> margin`` inside the
-    domain or a merged circle escapes it.  With ``domain`` None (an entire
-    function) the contour is not checked against any domain.
-    """
-    spectra = [complex(s) for s in spectra]
-    if not spectra:
-        raise InvalidArgumentError("no spectral points given")
-    if domain is None:
-        return Contour(tuple(enclosing_circles(spectra, margin)))
-    for s in spectra:
-        if domain.clearance(s) <= margin:
-            raise GeometryError(f"point {s} lacks clearance {margin} inside the domain")
-    circles = enclosing_circles(spectra, margin)
-    for c in circles:
-        if domain.clearance(c.center) <= c.radius:
-            raise GeometryError("enclosing circle escapes the domain")
-    return Contour(tuple(circles))
+    return Contour(tuple(c for _, c in groups))
 
 
 def _check_enclosed(points, circles):

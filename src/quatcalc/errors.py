@@ -28,8 +28,9 @@ class NumericError(RuntimeError):
 class AccuracyError(ArithmeticError):
     """A computed result misses its accuracy target by too much.
 
-    A quadrature that stalls keeps its best-effort ``value`` and its
-    ``diagnostics`` on the error; otherwise both are None.
+    A quadrature that stalls, or a surface value whose imaginary residue is
+    too large, keeps its ``value`` and its ``diagnostics`` on the error;
+    otherwise both are None.
     """
 
     def __init__(self, message, value=None, diagnostics=None):

@@ -29,6 +29,8 @@ from .quat_core import (
 
 _IDENT2 = np.eye(2, dtype=complex)
 _STEM_SPLIT_TOL = 1e-8
+#: Conjugate pairs of ``conjugate_sample_pairs``, split evenly over its circles.
+_SAMPLE_PAIRS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +460,7 @@ class StemReport:
     witness: complex
 
 
-def conjugate_sample_pairs(domain=None, pairs=64):
+def conjugate_sample_pairs(domain=None):
     """Deterministic conjugate-closed sample set on two circles per disk.
 
     With no domain, circles of radius 0.5 and 1.5 about the origin are used.
@@ -470,7 +472,7 @@ def conjugate_sample_pairs(domain=None, pairs=64):
         for c, r in domain.disks:
             bases.append((c, 0.35 * r))
             bases.append((c, 0.7 * r))
-    per_circle = max(1, pairs // len(bases))
+    per_circle = max(1, _SAMPLE_PAIRS // len(bases))
     samples = []
     for c, r in bases:
         ang = 2.0 * np.pi * (np.arange(per_circle) + 0.31) / per_circle

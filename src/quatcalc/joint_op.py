@@ -47,11 +47,13 @@ from .quat_core import cvec_star, mat_norm
 from .real_op import as_real_operator
 
 #: Residual bound, number of draws of ``mu`` and generator seed of
-#: ``joint_spectrum_points``; smallest pencil margin of the enclosure sweep.
+#: ``joint_spectrum_points``; smallest pencil margin of the enclosure sweep;
+#: largest imaginary residue of a surface value, relative to its scale.
 _JOINT_TOL = 1e-8
 _JOINT_DRAWS = 8
 _JOINT_SEED = 7
 _MARGIN_FLOOR = 1e-10
+_IMAG_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +346,7 @@ def _fold(x):
 _SURFACE_CHUNK = 65536
 
 
-def martinelli_calculus(f, pair, grid, imag_tol=1e-6):
+def martinelli_calculus(f, pair, grid):
     """Two-variable calculus ``f(T1, T2)`` by surface quadrature.
 
     Evaluates ``f`` at every node of the sphere grid, solves each distinct
@@ -352,8 +354,9 @@ def martinelli_calculus(f, pair, grid, imag_tol=1e-6):
     docstring), and returns the real restriction of the sum with the
     diagnostics ``{"nodes", "imag_defect", "min_margin"}``.  Polynomials
     reproduce ``sum c[a,b] T1^a T2^b`` up to grid error.  Raises
-    GeometryError for insufficient enclosure and AccuracyError when the
-    imaginary residue exceeds ``imag_tol`` relative to scale.
+    GeometryError for insufficient enclosure, and AccuracyError, carrying
+    the complex value and the diagnostics, when the imaginary residue
+    exceeds 1e-6 relative to scale.
     """
     if not isinstance(f, TwoVariableFunction):
         raise InvalidArgumentError("f must be a TwoVariableFunction")
@@ -392,10 +395,12 @@ def martinelli_calculus(f, pair, grid, imag_tol=1e-6):
 
     scale = max(1.0, float(np.linalg.norm(value.real)))
     imag_defect = float(np.linalg.norm(value.imag))
-    if imag_defect > imag_tol * scale:
-        raise AccuracyError(
-            f"imaginary residue {imag_defect:.3e} exceeds {imag_tol:g} x scale; "
-            "refine the grid or check the symmetry of f"
-        )
     diagnostics = {"nodes": res**3, "imag_defect": imag_defect, "min_margin": min_margin}
+    if imag_defect > _IMAG_REL_TOL * scale:
+        raise AccuracyError(
+            f"imaginary residue {imag_defect:.3e} exceeds {_IMAG_REL_TOL:g} x scale; "
+            "refine the grid or check the symmetry of f",
+            value,
+            diagnostics,
+        )
     return value.real.copy(), diagnostics

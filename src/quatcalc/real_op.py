@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour_calc import (
-    Contour,
-    _check_enclosed,
-    _trapezoid_doubling,
-    enclosing_circles,
-)
+from .contour_calc import _check_enclosed, _trapezoid_doubling, build_contour
 from .errors import (
     ContractViolationError,
     InvalidArgumentError,
@@ -225,10 +220,9 @@ class MatrixCoefficientFunction:
         )
 
 
-def operator_contour(T):
-    """Real-centered circles covering the eigenvalue clusters of ``T`` with
-    clearance ``max(1.0, 0.05 * spectral radius)``, checked to hold every
-    eigenvalue strictly inside.
+def operator_contour(eigenvalues):
+    """Real-centered circles covering the eigenvalue clusters with clearance
+    ``max(1.0, 0.05 * spectral radius)``.
 
     The disks these circles bound reach that far past the spectrum, so a
     function integrated on them must be analytic there.  The closed scalar
@@ -236,11 +230,9 @@ def operator_contour(T):
     products) is entire, as a stem with ``domain is None`` is taken to be;
     for any other function pass ``op_calculus(..., contour=...)``.
     """
-    eigs = [complex(v) for v in complex_spectrum(T).eigenvalues]
+    eigs = [complex(v) for v in eigenvalues]
     clearance = max(_MIN_CLEARANCE, 0.05 * max(abs(v) for v in eigs))
-    circles = enclosing_circles(eigs, clearance, real_centers=True)
-    _check_enclosed(eigs, circles)
-    return Contour(tuple(circles))
+    return build_contour(eigs, clearance, real_centers=True)
 
 
 def op_calculus(F, T, tol=1e-10, contour=None):
@@ -248,11 +240,12 @@ def op_calculus(F, T, tol=1e-10, contour=None):
 
     Integrates ``F(z)(z - T_C)^-1`` with node doubling to the relative
     tolerance ``tol`` over ``contour``, or by default over
-    ``operator_contour(T)``: real-centered circles at least 1.0 (and 5% of
-    the spectral radius) clear of every eigenvalue, on whose disks F must be
-    analytic.  It checks flat invariance of the value to 1e-8 times its
-    scale, and returns the real restriction, its QuadratureDiagnostics and
-    the flat defect.  A stall raises AccuracyError with the unchecked
+    ``operator_contour``: real-centered circles at least 1.0 (and 5% of the
+    spectral radius) clear of every eigenvalue, on whose disks F must be
+    analytic.  Either contour must hold every eigenvalue strictly inside
+    (GeometryError otherwise).  It checks flat invariance of the value to
+    1e-8 times its scale, and returns the real restriction, its
+    QuadratureDiagnostics and the flat defect.  A stall raises AccuracyError with the unchecked
     complex value on it; a non-finite quadrature total raises NumericError.
 
     With ``F = sum_j g_j A_j`` a circle's node sum is
@@ -264,12 +257,10 @@ def op_calculus(F, T, tol=1e-10, contour=None):
     T = as_real_operator(T)
     n = T.shape[0]
     if F.dim != n:
-        raise InvalidArgumentError("operator function dimension mismatch")
-    if contour is None:
-        gamma = operator_contour(T)
-    else:
-        gamma = contour
-        _check_enclosed(complex_spectrum(T).eigenvalues, gamma.circles)
+        raise InvalidArgumentError(f"operator function dimension {F.dim} does not match matrix {n}")
+    eigs = complex_spectrum(T).eigenvalues
+    gamma = operator_contour(eigs) if contour is None else contour
+    _check_enclosed(eigs, gamma.circles)
 
     eye = np.eye(n)
     # ||A_j R_k|| <= sqrt(||A_j||_1 ||A_j||_inf) ||R_k||: a bound on each

@@ -65,15 +65,14 @@ def quaternionwise(g):
     return G
 
 
-def dbar_s(G, x, y, s, h=1e-4, domain=None):
+def dbar_s(G, x, y, s, h=1e-4):
     """Central-difference slice Cauchy-Riemann operator at ``x*I + y*s``.
 
     Returns ``(1/2) [dG/dx + (dG/dy) s]`` with second-order stencils of
     width ``h``.  ``x`` and ``y`` are numbers or arrays of one shape ``P``;
     ``s`` is a unit purely imaginary Quaternion or an array of matrix views
     of such, shape ``P + (2, 2)``; the result has shape ``P + (2, 2)``.
-    ``G`` is called once, on the stack of all stencil points.  When a domain
-    is given, all stencil points must have their slice coordinate in it.
+    ``G`` is called once, on the stack of all stencil points.
     """
     S = s.matrix() if isinstance(s, Quaternion) else np.asarray(s, dtype=complex)
     _check_directions(S, "s must satisfy s*s = -I")
@@ -81,8 +80,6 @@ def dbar_s(G, x, y, s, h=1e-4, domain=None):
     y = np.asarray(y, dtype=float)
     px = np.stack([x + h, x - h, x, x])
     py = np.stack([y, y, y + h, y - h])
-    if domain is not None and not np.all(domain.contains(px + 1j * py)):
-        raise DomainError("finite-difference stencil escapes the domain")
     values = G(px[..., None, None] * _IDENT2 + py[..., None, None] * S)
     gx = (values[0] - values[1]) / (2.0 * h)
     gy = (values[2] - values[3]) / (2.0 * h)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from quatcalc import (
+    AccuracyError,
     CommutingPair,
     I,
     J,
@@ -11,6 +12,7 @@ from quatcalc import (
     QuaternionPolynomial,
     left_mult_matrix,
     make_quaternion,
+    martinelli_calculus,
 )
 
 # Wall time varies too much between runs for a per-example deadline; fixed
@@ -40,6 +42,16 @@ def random_commuting_pair(rng, n=2, scale=1.0):
     d2 = np.diag(scale * rng.standard_normal(n))
     inv = np.linalg.inv(S)
     return CommutingPair(S @ d1 @ inv, S @ d2 @ inv), (np.diag(d1), np.diag(d2))
+
+
+def surface_value(f, pair, grid):
+    """Real value and diagnostics of ``martinelli_calculus``, also when its
+    imaginary-residue check rejects the value (a coarse grid or a ``f`` that
+    breaks realness)."""
+    try:
+        return martinelli_calculus(f, pair, grid)
+    except AccuracyError as exc:
+        return exc.value.real, exc.diagnostics
 
 
 def quaternionic_operator(A):

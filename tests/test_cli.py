@@ -579,12 +579,15 @@ def test_module_entry_point(tmp_path):
                      "function": {"kind": "op-scalar", "f": {"kind": "exp"}}}),
         ("eval", {"function": {"kind": "scalar", "f": {"kind": "exp"}},
                   "quaternion": [1e200, 0, 0, 0], "method": "spectral"}),
+        ("eval", {"function": {"kind": "scalar", "f": {"kind": "exp"}},
+                  "quaternion": [800, 1, 0, 0], "method": "spectral"}),
     ],
 )
 def test_non_finite_value_exits_2(capsys, command, doc):
-    code, out = run_cli(capsys, command, doc)
+    code, out, err = run_cli_err(capsys, command, doc)
     assert code == 2
     assert out == ""
+    assert "not finite" in err or "non-finite" in err
 
 
 EXP_STALL = {"function": {"kind": "scalar", "f": {"kind": "exp"}}, "quaternion": [0.5, 12, 0, 0]}
@@ -700,6 +703,56 @@ def test_pair_of_32_is_accepted(capsys):
     code, out = run_cli(capsys, "joint-spectrum", _diagonal_pair(32))
     assert code == 0
     assert len(json.loads(out)["result"]["points"]) == 32
+
+
+def _stub_surface_quadrature(monkeypatch):
+    """Replace the surface quadrature by a zero value; returns the pair sides it saw."""
+    sides = []
+
+    def stub(f, pair, grid):
+        sides.append(pair.dim)
+        return np.zeros((pair.dim, pair.dim)), {"nodes": grid.resolution**3}
+
+    monkeypatch.setattr(cli, "martinelli_calculus", stub)
+    return sides
+
+
+@pytest.mark.parametrize("n, res", [(32, 64), (32, 50), (16, 78), (8, 192), (4, 256)])
+def test_surface_work_above_its_bound_exits_1_before_any_work(capsys, monkeypatch, n, res):
+    sides = _stub_surface_quadrature(monkeypatch)
+    doc = dict(JOINT_DOC, **_diagonal_pair(n))
+    code, out, err = run_cli_err(capsys, "joint-calc", doc, "--grid-res", str(res))
+    _assert_error_exit(code, out, err, 1)
+    assert "surface work" in err
+    assert sides == []
+
+
+@pytest.mark.parametrize("n, res", [(32, 48), (16, 76), (8, 120), (4, 192), (2, 256)])
+def test_surface_work_at_its_bound_is_accepted(capsys, monkeypatch, n, res):
+    assert n**2 * res**3 <= cli._MAX_SURFACE_WORK
+    sides = _stub_surface_quadrature(monkeypatch)
+    doc = dict(JOINT_DOC, **_diagonal_pair(n))
+    code, out = run_cli(capsys, "joint-calc", doc, "--grid-res", str(res))
+    assert code == 0
+    assert sides == [n]
+    assert json.loads(out)["result"]["diagnostics"]["nodes"] == res**3
+
+
+def test_operator_function_of_another_size_exits_1(capsys):
+    doc = {"matrix": [[1.0, 2.0], [-2.0, 1.0]],
+           "function": {"kind": "op-poly", "coeffs": [np.eye(3).tolist()]}}
+    code, out, err = run_cli_err(capsys, "op-calc", doc)
+    _assert_error_exit(code, out, err, 1)
+    assert "dimension 3 does not match matrix 2" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "deriv"])
+def test_contour_leaving_its_domain_exits_2(capsys, command):
+    # circles of radius 0.25 about +-i leave the disks of radius 0.2 about +-i
+    doc = dict(STEM_EXP, quaternion=[0, 1, 0, 0],
+               domain=[{"center": {"re": 0, "im": 1}, "radius": 0.2}])
+    code, out, err = run_cli_err(capsys, command, doc, "--margin", "0.25")
+    _assert_error_exit(code, out, err, 2)
 
 
 ASYMMETRIC_POLY = {"kind": "poly", "coeffs": [{"re": 0, "im": 1}]}

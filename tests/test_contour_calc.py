@@ -9,8 +9,6 @@ from quatcalc import I, J, K
 
 from conftest import random_hpoly, random_quaternion
 
-BIG_DISK = qc.SymmetricDomain.disk(0.0, 20.0)
-
 
 #: Tolerance of the value tests, which start at 64 nodes per circle and cap
 #: at 2^14 (the ``small_nodes`` fixture).
@@ -22,9 +20,9 @@ def small_nodes(quadrature_nodes):
     quadrature_nodes(64, 2**14)
 
 
-def contour_for(q, margin=0.3, domain=BIG_DISK):
+def contour_for(q, margin=0.3):
     sp = qc.spectrum(q)
-    return qc.build_contour([sp.s_plus, sp.s_minus], domain, margin)
+    return qc.build_contour([sp.s_plus, sp.s_minus], margin)
 
 
 def test_tolerance_validation():
@@ -39,7 +37,7 @@ def test_tolerance_validation():
 
 
 def test_build_contour_two_circles():
-    gamma = qc.build_contour([1j, -1j], qc.SymmetricDomain.disk(0.0, 2.0), 0.25)
+    gamma = qc.build_contour([1j, -1j], 0.25)
     centers = sorted(c.center.imag for c in gamma.circles)
     assert centers == [-1.0, 1.0]
     assert all(c.radius == 0.25 for c in gamma.circles)
@@ -48,13 +46,13 @@ def test_build_contour_two_circles():
 
 
 def test_build_contour_real_point():
-    gamma = qc.build_contour([3.0], qc.SymmetricDomain.disk(3.0, 2.0), 0.5)
+    gamma = qc.build_contour([3.0], 0.5)
     assert len(gamma.circles) == 1
     assert gamma.circles[0] == qc.Circle(3.0 + 0j, 0.5)
 
 
 def test_build_contour_symmetric_family():
-    gamma = qc.build_contour([1 + 1j, -1 + 1j], BIG_DISK, 0.3)
+    gamma = qc.build_contour([1 + 1j, -1 + 1j], 0.3)
     centers = {c.center for c in gamma.circles}
     assert centers == {complex(c).conjugate() for c in centers}
     assert len(gamma.circles) == 4
@@ -67,7 +65,7 @@ def test_build_contour_symmetric_family():
 
 
 def test_build_contour_merges_overlaps():
-    gamma = qc.build_contour([0.4j, -0.4j], BIG_DISK, 0.5)
+    gamma = qc.build_contour([0.4j, -0.4j], 0.5)
     assert len(gamma.circles) == 1
     c = gamma.circles[0]
     assert c.center.imag == 0.0
@@ -75,8 +73,11 @@ def test_build_contour_merges_overlaps():
 
 
 def test_build_contour_clearance_error():
-    with pytest.raises(qc.GeometryError):
-        qc.build_contour([1j], qc.SymmetricDomain.disk(1j, 0.2), 0.25)
+    # circles of radius 0.25 about +-i leave the disks of radius 0.2 about
+    # +-i: the calculus, which knows the function's domain, rejects them
+    F = qc.ScalarStem(qc.Exp(), domain=qc.SymmetricDomain.disk(1j, 0.2))
+    with pytest.raises(qc.DomainError):
+        qc.cauchy_transform(F, J, contour_for(J, margin=0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +191,7 @@ def test_tolerance_below_the_rounding_floor_stalls_early():
     # 1e-6 of it, so 1e-10 is out of reach and the driver says so once the
     # value has settled, not at the 2^18 node cap
     q = qc.make_quaternion(0.5, 12.0, 0.0, 0.0)
-    gamma = contour_for(q, margin=12.25, domain=qc.SymmetricDomain.disk(0.0, 50.0))
+    gamma = contour_for(q, margin=12.25)
     assert len(gamma.circles) == 1
     with pytest.raises(qc.AccuracyError) as stall:
         qc.cauchy_transform(qc.ScalarStem(qc.Exp()), q, gamma)
@@ -475,11 +476,11 @@ def test_taylor_recompose_divergence_detected():
         qc.taylor_recompose(F, J * 0.1, 8.0, terms=200)
 
 
-def test_enclosing_circles_invariants_fuzz(rng):
+def test_build_contour_invariants_fuzz(rng):
     for _ in range(100):
         pts = [complex(*rng.standard_normal(2)) for _ in range(int(rng.integers(1, 8)))]
         margin = float(rng.uniform(0.05, 0.8))
-        circles = qc.enclosing_circles(pts, margin)
+        circles = qc.build_contour(pts, margin).circles
         # every point (and its mirror) keeps at least the requested clearance
         for p in pts + [p.conjugate() for p in pts]:
             assert max(c.radius - abs(p - c.center) for c in circles) >= margin * (1 - 1e-9)
@@ -497,15 +498,15 @@ def test_enclosing_circles_invariants_fuzz(rng):
 
 
 @pytest.mark.parametrize("margin", [0.0, -0.3, math.nan])
-def test_enclosing_circles_rejects_bad_margin(margin):
+def test_build_contour_rejects_bad_margin(margin):
     with pytest.raises(qc.InvalidArgumentError):
-        qc.enclosing_circles([1j], margin)
+        qc.build_contour([1j], margin)
 
 
-def test_enclosing_circles_real_centers_variant(rng):
+def test_build_contour_real_centers_variant(rng):
     for _ in range(50):
         pts = [complex(*rng.standard_normal(2)) for _ in range(int(rng.integers(1, 6)))]
-        circles = qc.enclosing_circles(pts, 0.3, real_centers=True)
+        circles = qc.build_contour(pts, 0.3, real_centers=True).circles
         assert all(c.center.imag == 0.0 for c in circles)
         for p in pts + [p.conjugate() for p in pts]:
             assert max(c.radius - abs(p - c.center) for c in circles) >= 0.3 * (1 - 1e-9)

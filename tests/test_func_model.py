@@ -122,8 +122,8 @@ def test_pair_stem_constant_identity():
 
 def test_pair_stem_generic_passes():
     F = qc.PairStem(qc.Polynomial([0, 1]), qc.Polynomial([0, 0, 1]))
-    samples = qc.conjugate_sample_pairs(pairs=50)
-    assert len(samples) == 100
+    samples = qc.conjugate_sample_pairs()
+    assert len(samples) == 128
     assert qc.verify_stem(F, samples=samples).passed
 
 

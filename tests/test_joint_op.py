@@ -5,7 +5,7 @@ import quatcalc as qc
 from quatcalc import joint_op
 from quatcalc.real_op import smallest_singular_value
 
-from conftest import random_commuting_pair
+from conftest import random_commuting_pair, surface_value
 
 
 def rotation_pair(a1, b1, a2, b2):
@@ -219,7 +219,7 @@ def test_doubling_resolution_reduces_error(rng):
     grid = qc.enclosing_sphere_grid(pair, resolution=8)
     errs = []
     for g in (grid, grid.with_resolution(16)):
-        errs.append(np.linalg.norm(qc.martinelli_calculus(f, pair, g, imag_tol=1.0)[0] - want))
+        errs.append(np.linalg.norm(surface_value(f, pair, g)[0] - want))
     assert errs[1] <= errs[0] / 4.0 or errs[1] <= 1e-10
 
 
@@ -307,8 +307,16 @@ def test_imaginary_residue_rejected(rng):
     pair, _ = random_commuting_pair(rng, 2)
     grid = qc.enclosing_sphere_grid(pair, resolution=16)
     f = qc.TwoVariablePolynomial([[0.0, 0.0], [1j, 0.0]])  # i * z1: breaks realness
-    with pytest.raises(qc.AccuracyError):
-        qc.martinelli_calculus(f, pair, grid, imag_tol=1e-6)
+    with pytest.raises(qc.AccuracyError) as exc:
+        qc.martinelli_calculus(f, pair, grid)
+    # the error keeps the complex value, near i T1, and the diagnostics
+    value, diag = exc.value.value, exc.value.diagnostics
+    want = solve_twice_reference(f, pair, grid)
+    assert np.linalg.norm(value - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(value - 1j * pair.t1) <= 1e-6 * np.linalg.norm(pair.t1)
+    assert diag["imag_defect"] == np.linalg.norm(value.imag)
+    assert diag["imag_defect"] > 1e-6 * max(1.0, np.linalg.norm(value.real))
+    assert diag["nodes"] == 16**3
 
 
 def test_block_pencil_matches_pair_matrix(rng):
@@ -389,9 +397,9 @@ def test_regrouped_quadrature_matches_solve_twice_reference(rng, res):
     grid = qc.enclosing_sphere_grid(pair, resolution=res)
     symmetric = qc.SeparableProduct(qc.Exp(), qc.Polynomial([1.0, 0.5]))
     skewed = qc.TwoVariablePolynomial([[0.0, 0.0, 1.0], [1j, 0.0, 0.0]])  # i z1 + z2^2
-    for f, imag_tol in ((symmetric, 1e-6), (skewed, 1.0)):
+    for f, calculus in ((symmetric, qc.martinelli_calculus), (skewed, surface_value)):
         want = solve_twice_reference(f, pair, grid)
-        got, diag = qc.martinelli_calculus(f, pair, grid, imag_tol=imag_tol)
+        got, diag = calculus(f, pair, grid)
         scale = max(1.0, np.linalg.norm(want.real))
         want_defect = np.linalg.norm(want.imag)
         assert diag["nodes"] == res**3

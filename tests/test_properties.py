@@ -108,7 +108,7 @@ def test_contour_and_spectral_routes_agree_from_the_default_start(F, q, margin, 
     if margin is None:
         # one wide circle, of radius 2 t + 0.25 about the eigenvalues q0 +- i t
         margin = abs(sp.s_plus.imag) + 0.25
-    gamma = qc.build_contour([sp.s_plus, sp.s_minus], qc.SymmetricDomain.disk(0.0, 1e3), margin)
+    gamma = qc.build_contour([sp.s_plus, sp.s_minus], margin)
     G = F
     for _ in range(order):
         G = G.derivative()

@@ -165,6 +165,9 @@ def test_complex_spectrum_cap():
 
 
 def test_op_calculus_computes_the_spectrum_once(rng, monkeypatch):
+    T = rng.standard_normal((4, 4))
+    F = qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 4)
+    gamma = qc.operator_contour(qc.complex_spectrum(T).eigenvalues)
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -173,14 +176,16 @@ def test_op_calculus_computes_the_spectrum_once(rng, monkeypatch):
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    T = rng.standard_normal((4, 4))
-    qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 4), T)
+    qc.op_calculus(F, T)
     assert len(calls) == 1
+    # a caller's contour is checked against the same single spectrum
+    qc.op_calculus(F, T, contour=gamma)
+    assert len(calls) == 2
 
 
 def test_operator_contour_is_real_centered(rng):
     T = rng.standard_normal((6, 6))
-    gamma = qc.operator_contour(T)
+    gamma = qc.operator_contour(qc.complex_spectrum(T).eigenvalues)
     assert all(c.center.imag == 0.0 for c in gamma.circles)
     circles = set(gamma.circles)
     assert {qc.Circle(c.center.conjugate(), c.radius) for c in circles} == circles
@@ -348,7 +353,7 @@ def _fold_cases():
 def test_folded_quadrature_matches_per_node_reference(case):
     F, T, gamma = _fold_cases()[case]
     got, diag, _ = qc.op_calculus(F, T, contour=gamma)
-    circles = (gamma or qc.operator_contour(T)).circles
+    circles = (gamma or qc.operator_contour(qc.complex_spectrum(T).eigenvalues)).circles
     if case == "split-8x8":
         assert len(circles) == 2
     want = _per_node_trapezoid(F, T, circles, diag.nodes_per_circle)
@@ -392,7 +397,7 @@ def test_each_node_is_evaluated_once_and_half_are_solved(monkeypatch, quadrature
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     T = rotation_block(0.3, 0.8)
-    (circle,) = qc.operator_contour(T).circles
+    (circle,) = qc.operator_contour(qc.complex_spectrum(T).eigenvalues).circles
     g = _CountingExp()
     F = qc.MatrixCoefficientFunction.from_scalar(g, 2)
     # two doublings below the 2048 nodes counted here: the driver decides
@@ -474,7 +479,7 @@ def test_default_contour_keeps_every_eigenvalue_one_inside(rng):
             T = scale * rng.standard_normal((n, n))
             eigs = np.linalg.eigvals(T)
             assert np.max(np.abs(eigs)) < 20.0
-            circles = qc.operator_contour(T).circles
+            circles = qc.operator_contour(eigs).circles
             for s in eigs:
                 depth = max(c.radius - abs(s - c.center) for c in circles)
                 assert depth >= 1.0 - 1e-9

@@ -39,12 +39,6 @@ def test_dbar_requires_unit_imaginary():
         qc.dbar_s(qc.quaternionwise(lambda q: q.matrix()), 0.0, 0.0, I)
 
 
-def test_dbar_stencil_domain_check():
-    small = qc.SymmetricDomain.disk(0.0, 0.5)
-    with pytest.raises(qc.DomainError):
-        qc.dbar_s(qc.quaternionwise(lambda q: q.matrix()), 0.499, 0.0, J, h=1e-2, domain=small)
-
-
 def test_finite_difference_error_is_second_order(rng):
     # smooth non-regular map (Re q)^3 * I; its stencil error is exactly h^2/2
     def G(q):
@@ -93,12 +87,11 @@ def test_report_passes_for_resolvent_kernel(rng):
 
 def test_report_passes_for_contour_values(rng, quadrature_nodes):
     F = qc.ScalarStem(qc.Exp())
-    dom = qc.SymmetricDomain.disk(0.0, 20.0)
     quadrature_nodes(64, 2**12)
 
     def G(q):
         sp = qc.spectrum(q)
-        gamma = qc.build_contour([sp.s_plus, sp.s_minus], dom, 1.0)
+        gamma = qc.build_contour([sp.s_plus, sp.s_minus], 1.0)
         return qc.cauchy_transform(F, q, gamma, 1e-12)[0]
 
     grid = qc.SliceSampleGrid.random(DISK2, 12, 3, seed=6)
