@@ -70,9 +70,8 @@ from .contour_calc import (
     Contour,
     QuadratureDiagnostics,
     build_contour,
-    cauchy_derivative,
     cauchy_transform,
-    derivative_bound,
+    cauchy_estimate,
     series_eval,
     taylor_recompose,
 )

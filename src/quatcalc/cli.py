@@ -23,7 +23,9 @@ or output error (an ``--output`` path that cannot be written), 2 domain/
 geometry/contract error or a non-finite result (including a non-finite
 ``slice-check`` stencil value, or a pair whose products overflow), 3
 accuracy error (including a quadrature that stalls before its tolerance: a
-rounding floor far above it, or the node cap; and a surface value whose
+rounding floor far above it, the node cap, or a ``deriv`` kernel that
+overflows on a contour too tight for its order; a spectral derivative
+whose rounding bound exceeds ``--tol`` of its scale; and a surface value whose
 imaginary residue exceeds 1e-6 of its scale), 4 internal error, a fault of
 the program and never of the document.  A nonzero exit writes exactly one
 error line to stderr and nothing to the output; the exit code does not
@@ -68,7 +70,7 @@ from . import (
     SymmetricDomain,
     TwoVariablePolynomial,
     build_contour,
-    cauchy_derivative,
+    cauchy_transform,
     complex_spectrum,
     conjugate_sample_pairs,
     discrete_mult_op,
@@ -287,16 +289,20 @@ def _run_eval(doc, args):
         if method not in ("contour", "spectral"):
             raise ParseError(f"unknown method {method!r}")
     result = {"method": method, "order": order}
+    sp = spectrum(q)
     if method == "spectral":
-        G = F
-        for _ in range(order):
-            G = G.derivative()
-        value = eval_spectral(G, q)
+        value = eval_spectral(F, q, order)
+        if order:
+            # first-order rounding bound: eps times the jets' magnitude twins (the
+            # projections have norm 1) times order + 8 roundings per term
+            twins = F.jet(np.array([sp.s_plus, sp.s_minus]), order, absolute=True)[order]
+            bound = np.finfo(float).eps * (order + 8) * np.linalg.norm(twins, axis=(1, 2)).sum()
+            if bound > args.tol * max(1.0, np.linalg.norm(value)):
+                raise AccuracyError(f"rounding bound {bound:.3e} of the jets exceeds --tol")
         diagnostics = {}
     else:
-        sp = spectrum(q)
         gamma = build_contour([sp.s_plus, sp.s_minus], args.margin)
-        value, diag = cauchy_derivative(F, order, q, gamma, args.tol)
+        value, diag = cauchy_transform(F, q, gamma, args.tol, order)
         diagnostics = dataclasses.asdict(diag)
         if args.emit_samples:
             result["samples"] = {

@@ -1,10 +1,10 @@
 """Contour evaluation of matrix functions at quaternions.
 
-The Cauchy-integral route ``(1/2 pi i) * integral of F(z) (zI - q)^-1 dz``
-is discretized by the trapezoid rule on positively oriented circles, which
-is spectrally accurate for analytic integrands on closed curves.  The
-resolvent is evaluated in the closed spectral form ``(z - s+)^-1 E+ +
-(z - s-)^-1 E-`` rather than by per-node inversion.
+The Cauchy-integral route ``(k!/2 pi i) * integral of F(z) (zI - q)^-(k+1) dz``
+to the k-th derivative is discretized by the trapezoid rule on positively
+oriented circles, spectrally accurate for analytic integrands on closed
+curves.  The kernel takes the closed spectral form ``(z - s+)^-(k+1) E+ +
+(z - s-)^-(k+1) E-``, so only values of ``F`` are needed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     InvalidArgumentError,
     NumericError,
 )
-from .func_model import eval_spectral
+from .func_model import spectral_jet
 from .quat_core import Quaternion, spectral_projections, spectrum
 
 _IDENT2 = np.eye(2, dtype=complex)
@@ -114,7 +114,7 @@ def _trapezoid_doubling(circle_sum, circles, tol):
     - the floor exceeds ``100 atol`` and the last change is within 100
       floors, so the value has settled as far as ``atol`` is out of reach:
       a stall, reported at once;
-    - the next level would pass ``_MAX_NODES``: a stall.
+    - the next level would pass ``_MAX_NODES``, or term norms overflow: a stall.
 
     Returns the value and its QuadratureDiagnostics.  A stall raises
     AccuracyError carrying both; a non-finite total raises NumericError.
@@ -134,6 +134,8 @@ def _trapezoid_doubling(circle_sum, circles, tol):
         if not np.all(np.isfinite(cur)):
             raise NumericError(f"quadrature total is not finite at {nodes} nodes/circle")
         floor = _EPS * magnitude / nodes
+        if floor == math.inf:  # the terms' norms overflow: no level settles
+            break
         if prev is not None:
             before, last = last, float(np.linalg.norm(cur - prev))
         if before < math.inf:  # from the third level on
@@ -219,46 +221,49 @@ def _check_contour_in_domain(F, gamma):
             raise DomainError("contour is not inside the function domain")
 
 
-def cauchy_transform(F, q, gamma, tol=1e-10):
-    """Contour-integral value of ``F`` at ``q``, and its QuadratureDiagnostics.
+def cauchy_transform(F, q, gamma, tol=1e-10, order=0):
+    """Contour-integral value of the order-th derivative of ``F`` at ``q``,
+    and its QuadratureDiagnostics.
 
-    Doubles the node count per circle from 16 until the totals settle to the
-    relative tolerance ``tol`` or to the rounding floor under the rule of
-    ``_trapezoid_doubling``, at the third level (64 nodes per circle) at the
-    earliest.  A tolerance out of reach of the floor, or a climb past 2^18
-    nodes per circle, is a stall: AccuracyError, with the best-effort value
-    and diagnostics on it.  A non-finite total raises NumericError.  For
-    stem functions the value coincides with the closed spectral form.
+    Integrates values of ``F`` against the kernel ``k! ((z - s+)^-(k+1) E+ +
+    (z - s-)^-(k+1) E-)``, of size ``k!/r^(k+1)`` on circles of radius r
+    about ``s+-``: the radius must grow with the order, to near ``k/rho``
+    for an entire ``F`` of growth rate ``rho`` (Bornemann, Found. Comput.
+    Math. 11, 2011).  A kernel that overflows where ``F`` is finite raises
+    AccuracyError.  Nodes double per circle from 16, to 64 at least, under
+    ``_trapezoid_doubling`` with relative tolerance ``tol``; a stall raises
+    AccuracyError with the best-effort value and diagnostics on it, a
+    non-finite total NumericError.  For stems it is the spectral value.
     """
     if not isinstance(q, Quaternion):
         raise InvalidArgumentError("cauchy_transform expects a Quaternion")
+    if order < 0:
+        raise InvalidArgumentError("derivative order must be >= 0")
     sp = spectrum(q)
     _check_enclosed((sp.s_plus, sp.s_minus), gamma.circles)
     _check_contour_in_domain(F, gamma)
     e_plus, e_minus = spectral_projections(q)
+    # k! spread over the k + 1 factors, so that neither k! nor the power overflows alone
+    spread = math.exp(math.lgamma(order + 1) / (order + 1))
 
     def circle_sum(c, nodes, offset):
         unit = np.exp(2j * np.pi * (np.arange(nodes) + offset) / nodes)
         z = c.center + c.radius * unit
-        resolvent = (
-            (1.0 / (z - sp.s_plus))[:, None, None] * e_plus
-            + (1.0 / (z - sp.s_minus))[:, None, None] * e_minus
+        values = F(z)
+        kernel = (
+            ((spread / (z - sp.s_plus)) ** (order + 1))[:, None, None] * e_plus
+            + ((spread / (z - sp.s_minus)) ** (order + 1))[:, None, None] * e_minus
         )
-        terms = (F(z) @ resolvent) * (c.radius * unit)[:, None, None]
-        return _compensated_sum(terms), float(np.linalg.norm(terms, axis=(1, 2)).sum())
+        terms = (values @ kernel) * (c.radius * unit)[:, None, None]
+        total = _compensated_sum(terms)
+        if not np.isfinite(total).all() and np.isfinite(values).all():
+            if not np.isfinite(kernel).all():
+                raise AccuracyError(f"the order-{order} kernel overflows: the contour is too tight")
+        return total, float(np.linalg.norm(terms, axis=(1, 2)).sum())
 
-    return _trapezoid_doubling(circle_sum, gamma.circles, tol)
-
-
-def cauchy_derivative(F, order, q, gamma, tol=1e-10):
-    """Contour value of the order-th analytic derivative of ``F`` at ``q``,
-    and its QuadratureDiagnostics."""
-    if order < 0:
-        raise InvalidArgumentError("derivative order must be >= 0")
-    G = F
-    for _ in range(order):
-        G = G.derivative()
-    return cauchy_transform(G, q, gamma, tol)
+    # overflow raises above or in the driver: numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _trapezoid_doubling(circle_sum, gamma.circles, tol)
 
 
 def series_eval(coeffs, q, radius):
@@ -285,8 +290,8 @@ def series_eval(coeffs, q, radius):
     return total
 
 
-def derivative_bound(order, r0, d, d0, sup_f, both_half_planes):
-    """Bound on the norm of the order-th derivative value from disk geometry.
+def cauchy_estimate(order, r0, d, d0, sup_f, both_half_planes):
+    """Cauchy's estimate of the order-th derivative value's norm from disk geometry.
 
     ``r0`` is the radius of the middle circle, ``d`` its distance to the
     outer circle, ``d0`` its distance to the inner circle around the
@@ -302,23 +307,27 @@ def derivative_bound(order, r0, d, d0, sup_f, both_half_planes):
 
 def taylor_recompose(F, q, lam, terms):
     """Partial sum of ``sum F_n(q)/n! (lam*I - q)^n`` with ``F_n`` the n-th
-    derivative value at ``q``; converges to ``F(lam)`` for admissible pairs.
+    derivative value at ``q``, all from one ``spectral_jet``; converges to
+    ``F(lam)`` for admissible pairs.
 
     Raises DomainError when the terms grow for 5 consecutive orders beyond
     the partial-sum scale.
     """
     if terms < 1:
         raise InvalidArgumentError("need at least one term")
+    # orders past the point of divergence may overflow; they go unused
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivatives = spectral_jet(F, q, terms - 1)
     step = complex(lam) * _IDENT2 - q.matrix()
     # entire functions may grow until the term index passes norm(step)
     hump = 2.0 * (float(np.linalg.norm(step, 2)) + 1.0)
     acc = np.zeros((2, 2), dtype=complex)
     power = _IDENT2.copy()
-    G = F
     prev_norm = math.inf
     grown = 0
     for n in range(terms):
-        term = (eval_spectral(G, q) / math.factorial(n)) @ power
+        power = power / max(n, 1)  # (lam I - q)^n / n!, by running division
+        term = derivatives[n] @ power
         acc = acc + term
         tn = float(np.linalg.norm(term))
         if tn > prev_norm:
@@ -329,5 +338,4 @@ def taylor_recompose(F, q, lam, terms):
             grown = 0
         prev_norm = tn
         power = power @ step
-        G = G.derivative()
     return acc

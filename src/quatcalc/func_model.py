@@ -2,10 +2,11 @@
 
 Scalar functions live in a closed union (polynomials, exp/sin/cos, affine
 precomposition, sums, products, plus an escape-hatch callback variant) so
-that analytic derivatives and the conjugation symmetry ``f(conj z) ==
-conj(f(z))`` are decidable structurally.  Matrix-valued functions built on
-top of them support the stem condition ``F(conj z) == skew_conjugate(F(z))``
-and the closed-form spectral calculus ``F(q) = F(s+)E+ + F(s-)E-``.
+that the conjugation symmetry ``f(conj z) == conj(f(z))`` is decidable
+structurally.  Each evaluates through its jet, the derivatives ``f, ...,
+f^(k)`` at a point (a callback's has order 0).  Matrix-valued functions on
+them support the stem condition ``F(conj z) == skew_conjugate(F(z))`` and
+the spectral calculus ``F(q) = F(s+)E+ + F(s-)E-``.
 """
 
 from __future__ import annotations
@@ -44,19 +45,19 @@ class AnalyticScalar:
     domain = None
 
     def __call__(self, z):
-        raise NotImplementedError
+        return self.jet(z, 0)[0]
 
-    def derivative(self):
+    def jet(self, z, k, absolute=False):
+        """Derivatives ``f(z), f'(z), ..., f^(k)(z)`` stacked on a new first
+        axis.  With ``absolute`` the same recursions run on magnitudes (``|c|``
+        and ``|z|`` in Horner's rule, ``|f^(j)|`` at the leaves): a bound on
+        the terms each sum adds, whose rounding is of order eps times it."""
         raise NotImplementedError
 
     @property
     def symmetric(self):
         """Whether ``f(conj z) == conj(f(z))`` holds structurally."""
         raise NotImplementedError
-
-    def star_value(self, z):
-        """Value of the reflected function ``conj(f(conj z))``."""
-        return np.conjugate(self(np.conjugate(z)))
 
     def __add__(self, other):
         if isinstance(other, AnalyticScalar):
@@ -67,6 +68,40 @@ class AnalyticScalar:
         if isinstance(other, AnalyticScalar):
             return Product(self, other)
         return NotImplemented
+
+
+def _horner_jet(coeffs, z, k, absolute):
+    """Derivatives 0..k at ``z`` of ``sum coeffs[n] z^n`` by Horner's rule on
+    the coefficients of each derivative; ``coeffs`` may carry trailing axes."""
+    z = np.asarray(z, dtype=complex)
+    if absolute:
+        coeffs, z = np.abs(coeffs), np.abs(z)
+    tail = coeffs.shape[1:]
+    zz = z.reshape(z.shape + (1,) * len(tail))
+    out = np.zeros((k + 1,) + z.shape + tail, dtype=coeffs.dtype)
+    for j in range(min(k, len(coeffs) - 1) + 1):
+        if j:  # the coefficients of the next derivative
+            coeffs = coeffs[1:] * np.arange(1.0, len(coeffs)).reshape((-1,) + (1,) * len(tail))
+        acc = np.full(z.shape + tail, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc = acc * zz + c
+        out[j] = acc
+    return out
+
+
+def _cycle_jet(cycle, k, absolute):
+    """Jet of a function whose derivatives repeat ``cycle``; order 0 is a view."""
+    out = np.array([cycle[j % len(cycle)] for j in range(k + 1)]) if k else cycle[0][None]
+    return np.abs(out) if absolute else out
+
+
+def _leibniz(a, b):
+    """Jet of a product from the jets of its two factors."""
+    out = a * b  # row 0 is the product of the values; the rows above are replaced
+    for j in range(1, len(out)):
+        binom = np.array([math.comb(j, i) for i in range(j + 1)], dtype=float)
+        out[j] = np.einsum("i,i...,i...->...", binom, a[: j + 1], b[j::-1])
+    return out
 
 
 class Polynomial(AnalyticScalar):
@@ -80,18 +115,8 @@ class Polynomial(AnalyticScalar):
             raise InvalidArgumentError("non-finite polynomial coefficient")
         self.coeffs = coeffs
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            out = out * z + c
-        return out if out.shape else complex(out)
-
-    def derivative(self):
-        if self.coeffs.size == 1:
-            return Polynomial([0.0])
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial(self.coeffs[1:] * k)
+    def jet(self, z, k, absolute=False):
+        return _horner_jet(self.coeffs, z, k, absolute)
 
     @property
     def symmetric(self):
@@ -104,31 +129,26 @@ class Polynomial(AnalyticScalar):
 class Exp(AnalyticScalar):
     symmetric = True
 
-    def __call__(self, z):
-        return np.exp(z)
-
-    def derivative(self):
-        return Exp()
+    def jet(self, z, k, absolute=False):
+        return _cycle_jet((np.exp(z),), k, absolute)
 
 
 class Sin(AnalyticScalar):
     symmetric = True
 
-    def __call__(self, z):
-        return np.sin(z)
-
-    def derivative(self):
-        return Cos()
+    def jet(self, z, k, absolute=False):
+        s = np.sin(z)
+        c = np.cos(z) if k else None  # order 0 needs no cos
+        return _cycle_jet((s, c, -s, -c) if k else (s,), k, absolute)
 
 
 class Cos(AnalyticScalar):
     symmetric = True
 
-    def __call__(self, z):
-        return np.cos(z)
-
-    def derivative(self):
-        return Product(Polynomial([-1.0]), Sin())
+    def jet(self, z, k, absolute=False):
+        c = np.cos(z)
+        s = np.sin(z) if k else None  # order 0 needs no sin
+        return _cycle_jet((c, -s, -c, s) if k else (c,), k, absolute)
 
 
 class AffineArg(AnalyticScalar):
@@ -139,13 +159,12 @@ class AffineArg(AnalyticScalar):
         self.shift = complex(shift)
         self.body = body
 
-    def __call__(self, z):
-        return self.body(self.scale * np.asarray(z, dtype=complex) + self.shift)
-
-    def derivative(self):
-        return Product(
-            Polynomial([self.scale]), AffineArg(self.scale, self.shift, self.body.derivative())
-        )
+    def jet(self, z, k, absolute=False):
+        out = self.body.jet(self.scale * np.asarray(z, dtype=complex) + self.shift, k, absolute)
+        scale = abs(self.scale) if absolute else self.scale
+        for j in range(1, k + 1):  # chain rule: the j-th derivative gains scale^j
+            out[j] *= np.power(scale, j)
+        return out
 
     @property
     def symmetric(self):
@@ -158,14 +177,11 @@ class Sum(AnalyticScalar):
             raise InvalidArgumentError("Sum needs at least one part")
         self.parts = tuple(parts)
 
-    def __call__(self, z):
-        out = self.parts[0](z)
+    def jet(self, z, k, absolute=False):
+        out = self.parts[0].jet(z, k, absolute)
         for p in self.parts[1:]:
-            out = out + p(z)
+            out = out + p.jet(z, k, absolute)
         return out
-
-    def derivative(self):
-        return Sum(*(p.derivative() for p in self.parts))
 
     @property
     def symmetric(self):
@@ -178,41 +194,37 @@ class Product(AnalyticScalar):
             raise InvalidArgumentError("Product needs at least one part")
         self.parts = tuple(parts)
 
-    def __call__(self, z):
-        out = self.parts[0](z)
+    def jet(self, z, k, absolute=False):
+        out = self.parts[0].jet(z, k, absolute)
         for p in self.parts[1:]:
-            out = out * p(z)
+            out = _leibniz(out, p.jet(z, k, absolute))
         return out
-
-    def derivative(self):
-        # a constant factor's term is zero; kept, it doubles the tree at
-        # every further derivative
-        terms = []
-        for i, p in enumerate(self.parts):
-            dp = p.derivative()
-            if isinstance(dp, Polynomial) and not np.any(dp.coeffs):
-                continue
-            factors = list(self.parts)
-            factors[i] = dp
-            terms.append(Product(*factors))
-        return Sum(*terms) if terms else Polynomial([0.0])
 
     @property
     def symmetric(self):
         return all(p.symmetric for p in self.parts)
 
 
+def _values_jet(fn, z, k, absolute, tail):
+    """Order-0 jet of a function given by its values ``fn(w)`` only."""
+    if k:
+        raise InvalidArgumentError("a function given by values only has no derivatives")
+    vals = [fn(complex(w)) for w in np.ravel(z)]
+    vals = np.asarray(vals, dtype=complex).reshape((1,) + np.shape(z) + tail)
+    return np.abs(vals) if absolute else vals
+
+
 class Opaque(AnalyticScalar):
-    """Caller-supplied analytic function with asserted symmetry.
+    """Caller-supplied analytic function with asserted symmetry, given by its
+    values only: its jet has order 0.
 
     The symmetry assertion is spot-checked at 32 conjugate sample pairs on a
     circle of radius ``check_radius`` (skipped when ``check_radius`` is None,
     for functions not defined near the default circle).
     """
 
-    def __init__(self, fn, derivative_fn=None, symmetric=False, check_radius=1.0):
+    def __init__(self, fn, symmetric=False, check_radius=1.0):
         self.fn = fn
-        self.derivative_fn = derivative_fn
         self._symmetric = bool(symmetric)
         if self._symmetric and check_radius is not None:
             ang = 2.0 * np.pi * (np.arange(32) + 0.37) / 32.0
@@ -226,16 +238,8 @@ class Opaque(AnalyticScalar):
                     f"asserted symmetry fails spot check (defect {defect:.3e})"
                 )
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return complex(self.fn(complex(z)))
-        return np.asarray([self.fn(complex(w)) for w in z.ravel()]).reshape(z.shape)
-
-    def derivative(self):
-        if self.derivative_fn is None:
-            raise InvalidArgumentError("opaque function has no derivative callback")
-        return Opaque(self.derivative_fn, symmetric=self._symmetric, check_radius=None)
+    def jet(self, z, k, absolute=False):
+        return _values_jet(self.fn, z, k, absolute, ())
 
     @property
     def symmetric(self):
@@ -302,9 +306,11 @@ class MatrixFunction:
 
     def __call__(self, z):
         """Value at ``z``; arrays of shape (...) yield arrays (..., 2, 2)."""
-        raise NotImplementedError
+        return self.jet(z, 0)[0]
 
-    def derivative(self):
+    def jet(self, z, k, absolute=False):
+        """Derivatives 0..k at ``z``, shape (k + 1,) + z.shape + (2, 2); see
+        ``AnalyticScalar.jet`` for ``absolute``."""
         raise NotImplementedError
 
 
@@ -317,13 +323,9 @@ class ScalarStem(MatrixFunction):
         self.f = f
         self.domain = domain
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        val = np.asarray(self.f(z), dtype=complex)
+    def jet(self, z, k, absolute=False):
+        val = np.asarray(self.f.jet(np.asarray(z, dtype=complex), k, absolute), dtype=complex)
         return val[..., None, None] * _IDENT2
-
-    def derivative(self):
-        return ScalarStem(self.f.derivative(), domain=self.domain)
 
 
 class PairStem(MatrixFunction):
@@ -334,21 +336,15 @@ class PairStem(MatrixFunction):
         self.f2 = f2
         self.domain = domain
 
-    def __call__(self, z):
+    def jet(self, z, k, absolute=False):
         z = np.asarray(z, dtype=complex)
-        a = np.asarray(self.f1(z), dtype=complex)
-        b = np.asarray(self.f2(z), dtype=complex)
-        c = np.asarray(self.f2.star_value(z), dtype=complex)
-        d = np.asarray(self.f1.star_value(z), dtype=complex)
-        out = np.empty(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = a
-        out[..., 0, 1] = b
-        out[..., 1, 0] = -c
-        out[..., 1, 1] = d
+        out = np.empty((k + 1,) + z.shape + (2, 2), dtype=complex)
+        out[..., 0, 0] = self.f1.jet(z, k, absolute)
+        out[..., 0, 1] = self.f2.jet(z, k, absolute)
+        # the j-th derivative of g* is (g^(j))*
+        out[..., 1, 0] = -np.conjugate(self.f2.jet(np.conjugate(z), k, absolute))
+        out[..., 1, 1] = np.conjugate(self.f1.jet(np.conjugate(z), k, absolute))
         return out
-
-    def derivative(self):
-        return PairStem(self.f1.derivative(), self.f2.derivative(), domain=self.domain)
 
 
 class QuaternionPolynomial(MatrixFunction):
@@ -362,20 +358,10 @@ class QuaternionPolynomial(MatrixFunction):
             raise InvalidArgumentError("coefficients must be Quaternions")
         self.coeffs = coeffs
         self.domain = domain
+        self._matrices = np.array([a.matrix() for a in coeffs])
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        zz = z[..., None, None]
-        out = np.broadcast_to(self.coeffs[-1].matrix(), z.shape + (2, 2)).copy()
-        for a in self.coeffs[-2::-1]:
-            out = out * zz + a.matrix()
-        return out
-
-    def derivative(self):
-        if len(self.coeffs) == 1:
-            return QuaternionPolynomial([Quaternion(0.0, 0.0)], domain=self.domain)
-        ks = [a * float(k) for k, a in enumerate(self.coeffs) if k >= 1]
-        return QuaternionPolynomial(ks, domain=self.domain)
+    def jet(self, z, k, absolute=False):
+        return _horner_jet(self._matrices, z, k, absolute)
 
 
 class EntrywiseFunction(MatrixFunction):
@@ -390,33 +376,25 @@ class EntrywiseFunction(MatrixFunction):
         self.entries = entries
         self.domain = domain
 
-    def __call__(self, z):
+    def jet(self, z, k, absolute=False):
         z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape + (2, 2), dtype=complex)
+        out = np.empty((k + 1,) + z.shape + (2, 2), dtype=complex)
         for i in range(2):
             for j in range(2):
-                out[..., i, j] = np.asarray(self.entries[i][j](z), dtype=complex)
+                out[..., i, j] = self.entries[i][j].jet(z, k, absolute)
         return out
-
-    def derivative(self):
-        return EntrywiseFunction(
-            [[f.derivative() for f in row] for row in self.entries], domain=self.domain
-        )
 
 
 class CallableMatrixFunction(MatrixFunction):
-    """Arbitrary pointwise 2x2-matrix map; evaluation only, no derivative."""
+    """Arbitrary pointwise 2x2-matrix map, given by its values only: its jet
+    has order 0, so only the contour calculus differentiates it."""
 
     def __init__(self, fn, domain=None):
         self.fn = fn
         self.domain = domain
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        if z.shape == ():
-            return np.asarray(self.fn(complex(z)), dtype=complex).reshape(2, 2)
-        flat = [np.asarray(self.fn(complex(w)), dtype=complex) for w in z.ravel()]
-        return np.asarray(flat).reshape(z.shape + (2, 2))
+    def jet(self, z, k, absolute=False):
+        return _values_jet(self.fn, z, k, absolute, (2, 2))
 
 
 def stem_scalar_mul(F, f):
@@ -535,16 +513,24 @@ def _check_spectrum_in_domain(F, q):
             raise DomainError("spectrum of q is outside the function domain")
 
 
-def eval_spectral(F, q):
-    """Closed-form calculus ``F(q) = F(s+)E+ + F(s-)E-`` on the spectrum of q.
+def spectral_jet(F, q, k):
+    """Closed-form derivatives ``F^(j)(q) = F^(j)(s+)E+ + F^(j)(s-)E-`` for
+    ``j = 0..k``, stacked on a new first axis, from the jets of ``F`` at ``s+-``."""
+    _check_spectrum_in_domain(F, q)
+    sp = spectrum(q)
+    e_plus, e_minus = spectral_projections(q)
+    jets = F.jet(np.array([sp.s_plus, sp.s_minus]), k)
+    return jets[:, 0] @ e_plus + jets[:, 1] @ e_minus
+
+
+def eval_spectral(F, q, order=0):
+    """Closed-form calculus ``F^(order)(q) = F^(order)(s+)E+ + F^(order)(s-)E-``
+    on the spectrum of q.
 
     The result is a quaternion (to roundoff) exactly when ``F`` is a stem
     function; for other matrix functions it is a general 2x2 matrix.
     """
-    _check_spectrum_in_domain(F, q)
-    sp = spectrum(q)
-    e_plus, e_minus = spectral_projections(q)
-    return F(sp.s_plus) @ e_plus + F(sp.s_minus) @ e_minus
+    return spectral_jet(F, q, order)[order]
 
 
 def hpoly_eval(coeffs, q):

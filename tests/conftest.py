@@ -4,12 +4,23 @@ from hypothesis import settings
 
 from quatcalc import (
     AccuracyError,
+    AffineArg,
     CommutingPair,
+    Cos,
+    EntrywiseFunction,
+    Exp,
     I,
     J,
     K,
     L,
+    PairStem,
+    Polynomial,
+    Product,
+    Quaternion,
     QuaternionPolynomial,
+    ScalarStem,
+    Sin,
+    Sum,
     left_mult_matrix,
     make_quaternion,
     martinelli_calculus,
@@ -30,6 +41,59 @@ def random_hpoly(rng, degree, scale=1.0):
     return QuaternionPolynomial(
         [random_quaternion(rng, scale) for _ in range(degree + 1)]
     )
+
+
+def derivative_tree(f):
+    """The derivative of a closed-union scalar or of a stem, built as a new
+    function tree: the reference that jets are checked against.  A product
+    differentiates by the Leibniz rule, dropping the zero term of a constant
+    factor, so the tree of a product of two non-constant factors doubles
+    with each order."""
+    if isinstance(f, Polynomial):
+        if f.coeffs.size == 1:
+            return Polynomial([0.0])
+        return Polynomial(f.coeffs[1:] * np.arange(1, f.coeffs.size))
+    if isinstance(f, Exp):
+        return Exp()
+    if isinstance(f, Sin):
+        return Cos()
+    if isinstance(f, Cos):
+        return Product(Polynomial([-1.0]), Sin())
+    if isinstance(f, AffineArg):
+        return Product(Polynomial([f.scale]), AffineArg(f.scale, f.shift, derivative_tree(f.body)))
+    if isinstance(f, Sum):
+        return Sum(*(derivative_tree(p) for p in f.parts))
+    if isinstance(f, Product):
+        terms = []
+        for i, p in enumerate(f.parts):
+            dp = derivative_tree(p)
+            if isinstance(dp, Polynomial) and not np.any(dp.coeffs):
+                continue
+            factors = list(f.parts)
+            factors[i] = dp
+            terms.append(Product(*factors))
+        return Sum(*terms) if terms else Polynomial([0.0])
+    if isinstance(f, ScalarStem):
+        return ScalarStem(derivative_tree(f.f), domain=f.domain)
+    if isinstance(f, PairStem):
+        return PairStem(derivative_tree(f.f1), derivative_tree(f.f2), domain=f.domain)
+    if isinstance(f, QuaternionPolynomial):
+        if len(f.coeffs) == 1:
+            return QuaternionPolynomial([Quaternion(0.0, 0.0)], domain=f.domain)
+        return QuaternionPolynomial(
+            [a * float(k) for k, a in enumerate(f.coeffs) if k >= 1], domain=f.domain
+        )
+    if isinstance(f, EntrywiseFunction):
+        return EntrywiseFunction(
+            [[derivative_tree(g) for g in row] for row in f.entries], domain=f.domain
+        )
+    raise TypeError(f"no derivative tree for {type(f).__name__}")
+
+
+def exp_sin_derivative(z, k):
+    """``(exp sin)^(k)(z)`` in closed form, from ``exp(z) sin(z) =
+    (exp((1+i) z) - exp((1-i) z)) / 2i``."""
+    return ((1 + 1j) ** k * np.exp((1 + 1j) * z) - (1 - 1j) ** k * np.exp((1 - 1j) * z)) / 2j
 
 
 def random_commuting_pair(rng, n=2, scale=1.0):

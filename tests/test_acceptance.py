@@ -200,7 +200,7 @@ def test_criterion_05_polynomial_and_derivative_forms(quadrature_nodes):
             want_d = qc.hpoly_eval(
                 [a * float(k) for k, a in enumerate(P.coeffs) if k >= 1], q
             ).matrix()
-            got_d, _ = qc.cauchy_derivative(P, 1, q, gamma, 1e-12)
+            got_d, _ = qc.cauchy_transform(P, q, gamma, 1e-12, order=1)
             assert np.linalg.norm(got_d - want_d) <= 1e-10 * max(1.0, np.linalg.norm(want_d))
 
 
@@ -214,12 +214,9 @@ def test_criterion_06_derivative_bounds():
                 assert center_im - r_outer > 0
                 sup_f = math.exp(r_outer)  # max Re on the outer circle (center on iR)
                 for n in range(5):
-                    bound = qc.derivative_bound(
+                    bound = qc.cauchy_estimate(
                         n, r_mid, r_outer - r_mid, r_mid - r_inner, sup_f, True
                     )
-                    G = F
-                    for _ in range(n):
-                        G = G.derivative()
                     for _ in range(10):
                         zeta = complex(0, center_im) + r_inner * 0.95 * math.sqrt(
                             rng.uniform()
@@ -228,18 +225,15 @@ def test_criterion_06_derivative_bounds():
                         if abs(u) > abs(zeta.imag):
                             u *= rng.uniform() * abs(zeta.imag) / abs(u)
                         q = qc.quaternions_with_spectrum(zeta, u)
-                        assert qc.mat_norm(qc.eval_spectral(G, q)) <= bound
+                        assert qc.mat_norm(qc.eval_spectral(F, q, n)) <= bound
         # case 2: real-centered concentric disks
         for center in (0.0, 0.5):
             r_inner, r_mid, r_outer = 0.2, 0.5, 0.9
             sup_f = math.exp(center + r_outer)
             for n in range(5):
-                bound = qc.derivative_bound(
+                bound = qc.cauchy_estimate(
                     n, r_mid, r_outer - r_mid, r_mid - r_inner, sup_f, False
                 )
-                G = F
-                for _ in range(n):
-                    G = G.derivative()
                 for _ in range(10):
                     zeta = center + r_inner * 0.95 * math.sqrt(rng.uniform()) * np.exp(
                         2j * np.pi * rng.uniform()
@@ -248,7 +242,7 @@ def test_criterion_06_derivative_bounds():
                     if abs(u) > abs(zeta.imag):
                         u *= rng.uniform() * abs(zeta.imag) / abs(u)
                     q = qc.quaternions_with_spectrum(zeta, u)
-                    assert qc.mat_norm(qc.eval_spectral(G, q)) <= bound
+                    assert qc.mat_norm(qc.eval_spectral(F, q, n)) <= bound
 
 
 def test_criterion_07_taylor_recomposition():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import quatcalc as qc
 from quatcalc import J, K, L, cli
 
-from conftest import quaternionic_operator, right_mult_matrix
+from conftest import exp_sin_derivative, quaternionic_operator, right_mult_matrix
 
 
 def run_cli(capsys, command, doc, *flags):
@@ -376,10 +376,10 @@ def test_malformed_number_field_exits_1(capsys, command, doc):
 
 @pytest.mark.parametrize("order", [171, 100_000_000])
 def test_deriv_order_above_170_exits_1_before_differentiating(capsys, monkeypatch, order):
-    def no_derivative(self):
+    def no_jet(self, z, k, absolute=False):
         raise AssertionError("differentiated a rejected order")
 
-    monkeypatch.setattr(cli.ScalarStem, "derivative", no_derivative)
+    monkeypatch.setattr(cli.ScalarStem, "jet", no_jet)
     doc = dict(STEM_EXP, quaternion=[0, 1, 0, 0], method="spectral", order=order)
     code, out = run_cli(capsys, "deriv", doc)
     assert code == 1
@@ -392,6 +392,48 @@ def test_deriv_order_170_is_accepted(capsys):
     assert code == 0
     value = json.loads(out)["result"]["value"]
     assert as_complex(value[0][0]) == pytest.approx(np.exp(1j), abs=1e-12)
+
+
+EXP_SIN_DERIV = {
+    "function": {"kind": "scalar", "f": {"kind": "product", "parts": [{"kind": "exp"}, {"kind": "sin"}]}},
+    "quaternion": [0.5, 1, 0, 0],
+}
+
+
+def _exp_sin_error(out, order):
+    value = np.array([[as_complex(v) for v in row] for row in json.loads(out)["result"]["value"]])
+    want = np.diag([exp_sin_derivative(0.5 + 1j, order), exp_sin_derivative(0.5 - 1j, order)])
+    return np.linalg.norm(value - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("order, flags, rel_err", [
+    (12, (), 1e-13),
+    (60, ("--tol", "1e-4"), 1e-6),
+    (170, ("--margin", "120"), 1e-12),
+])
+def test_deriv_at_high_order_reads_the_closed_form(capsys, order, flags, rel_err):
+    method = "contour" if "--margin" in flags else "spectral"
+    doc = dict(EXP_SIN_DERIV, order=order, method=method)
+    code, out = run_cli(capsys, "deriv", doc, *flags)
+    assert code == 0
+    assert _exp_sin_error(out, order) <= rel_err
+
+
+@pytest.mark.parametrize("order, method, flags", [
+    # the spectral jets' rounding bound exceeds the tolerance
+    (60, "spectral", ()),
+    (170, "spectral", ()),
+    # the contour is too tight for the order: the kernel overflows, or the
+    # terms' norms do
+    (170, "contour", ("--margin", "0.25")),
+    (170, "contour", ("--margin", "1")),
+])
+def test_deriv_out_of_reach_of_double_precision_exits_3(capsys, order, method, flags):
+    doc = dict(EXP_SIN_DERIV, order=order, method=method)
+    code, out, err = run_cli_err(capsys, "deriv", doc, *flags)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("accuracy error")
 
 
 def test_grid_res_above_256_exits_1_before_any_work(capsys, monkeypatch):

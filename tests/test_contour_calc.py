@@ -7,7 +7,7 @@ import pytest
 import quatcalc as qc
 from quatcalc import I, J, K
 
-from conftest import random_hpoly, random_quaternion
+from conftest import exp_sin_derivative, random_hpoly, random_quaternion
 
 
 #: Tolerance of the value tests, which start at 64 nodes per circle and cap
@@ -325,14 +325,14 @@ def test_compensated_sum_matches_fsum(rng, k):
 def test_derivative_of_square_is_double(rng, small_nodes):
     F = qc.ScalarStem(qc.Polynomial([0, 0, 1]))
     q = random_quaternion(rng)
-    got = qc.cauchy_derivative(F, 1, q, contour_for(q), SMALL_TOL)[0]
+    got = qc.cauchy_transform(F, q, contour_for(q), SMALL_TOL, order=1)[0]
     np.testing.assert_allclose(got, 2.0 * q.matrix(), atol=1e-10 * max(1, q.norm()))
 
 
 def test_zeroth_derivative_is_transform(rng, small_nodes):
     F = qc.ScalarStem(qc.Sin())
     q = random_quaternion(rng)
-    a = qc.cauchy_derivative(F, 0, q, contour_for(q), SMALL_TOL)[0]
+    a = qc.cauchy_transform(F, q, contour_for(q), SMALL_TOL, order=0)[0]
     b = qc.cauchy_transform(F, q, contour_for(q), SMALL_TOL)[0]
     np.testing.assert_allclose(a, b, atol=1e-13)
 
@@ -340,7 +340,7 @@ def test_zeroth_derivative_is_transform(rng, small_nodes):
 def test_third_derivative_of_exp_at_zero(small_nodes):
     q = qc.Quaternion(0, 0)
     gamma = qc.Contour((qc.Circle(0j, 1.0),))
-    got = qc.cauchy_derivative(qc.ScalarStem(qc.Exp()), 3, q, gamma, SMALL_TOL)[0]
+    got = qc.cauchy_transform(qc.ScalarStem(qc.Exp()), q, gamma, SMALL_TOL, order=3)[0]
     np.testing.assert_allclose(got, np.eye(2), atol=1e-11)
 
 
@@ -351,8 +351,50 @@ def test_hpoly_derivative_formula(rng, small_nodes):
         want = qc.hpoly_eval(
             [a * float(k) for k, a in enumerate(P.coeffs) if k >= 1], q
         ).matrix()
-        got = qc.cauchy_derivative(P, 1, q, contour_for(q), SMALL_TOL)[0]
+        got = qc.cauchy_transform(P, q, contour_for(q), SMALL_TOL, order=1)[0]
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+
+
+EXP_SIN = qc.ScalarStem(qc.Product(qc.Exp(), qc.Sin()))
+EXP_SIN_AT = qc.make_quaternion(0.5, 1.0, 0.0, 0.0)  # spectrum 0.5 +- i
+
+
+@pytest.mark.parametrize("order", [30, 60, 100, 170])
+def test_kernel_route_reaches_roundoff_when_the_radius_grows_with_the_order(order):
+    # exp(z) sin(z) grows at rate sqrt(2): a radius near order / sqrt(2)
+    # balances the kernel's k!/r^(k+1) against the function's growth
+    sp = qc.spectrum(EXP_SIN_AT)
+    gamma = qc.build_contour([sp.s_plus, sp.s_minus], order / math.sqrt(2.0))
+    got, diag = qc.cauchy_transform(EXP_SIN, EXP_SIN_AT, gamma, order=order)
+    want = np.diag([exp_sin_derivative(0.5 + 1j, order), exp_sin_derivative(0.5 - 1j, order)])
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert diag.nodes_per_circle <= 256
+
+
+def test_kernel_overflow_on_a_tight_contour_is_an_accuracy_error():
+    sp = qc.spectrum(EXP_SIN_AT)
+    gamma = qc.build_contour([sp.s_plus, sp.s_minus], 0.25)
+    with pytest.raises(qc.AccuracyError, match="kernel overflows"):
+        qc.cauchy_transform(EXP_SIN, EXP_SIN_AT, gamma, order=170)
+    # a function that is not finite on the contour stays a numeric error
+    far = qc.make_quaternion(800.0, 1.0, 0.0, 0.0)
+    sp = qc.spectrum(far)
+    gamma = qc.build_contour([sp.s_plus, sp.s_minus], 0.25)
+    with pytest.raises(qc.NumericError), np.errstate(over="ignore", invalid="ignore"):
+        qc.cauchy_transform(qc.ScalarStem(qc.Exp()), far, gamma, order=170)
+
+
+def test_value_only_functions_differentiate_on_the_contour_only(rng, small_nodes):
+    q = random_quaternion(rng)
+    callable_exp = qc.CallableMatrixFunction(lambda z: np.exp(z) * np.eye(2))
+    opaque_sin = qc.ScalarStem(qc.Opaque(np.sin, symmetric=True))
+    for F, order, G in ((callable_exp, 2, qc.ScalarStem(qc.Exp())),
+                        (opaque_sin, 1, qc.ScalarStem(qc.Cos()))):
+        got = qc.cauchy_transform(F, q, contour_for(q), SMALL_TOL, order=order)[0]
+        want = qc.eval_spectral(G, q)
+        assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
+        with pytest.raises(qc.InvalidArgumentError):
+            qc.eval_spectral(F, q, order)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +441,8 @@ def test_series_matches_contour(rng, small_nodes):
 
 
 def test_derivative_bound_formula_values():
-    assert qc.derivative_bound(0, 1.0, 1.0, 0.5, 1.0, True) == 4.0
-    assert qc.derivative_bound(1, 1.0, 2.0, 1.0, 3.0, False) == 0.75
+    assert qc.cauchy_estimate(0, 1.0, 1.0, 0.5, 1.0, True) == 4.0
+    assert qc.cauchy_estimate(1, 1.0, 2.0, 1.0, 3.0, False) == 0.75
 
 
 def test_derivative_bound_dominates_measured_norms():
@@ -411,7 +453,7 @@ def test_derivative_bound_dominates_measured_norms():
     F = qc.ScalarStem(qc.Exp())
     rng = np.random.default_rng(5)
     for n in range(5):
-        bound = qc.derivative_bound(n, r_mid, r_outer - r_mid, r_mid - r_inner, sup_f, True)
+        bound = qc.cauchy_estimate(n, r_mid, r_outer - r_mid, r_mid - r_inner, sup_f, True)
         for _ in range(20):
             zeta = center + r_inner * 0.9 * math.sqrt(rng.uniform()) * np.exp(
                 2j * np.pi * rng.uniform()
@@ -420,10 +462,7 @@ def test_derivative_bound_dominates_measured_norms():
             if abs(u) > abs(zeta.imag):
                 u *= rng.uniform() * abs(zeta.imag) / abs(u)
             q = qc.quaternions_with_spectrum(zeta, u)
-            G = F
-            for _ in range(n):
-                G = G.derivative()
-            measured = qc.mat_norm(qc.eval_spectral(G, q))
+            measured = qc.mat_norm(qc.eval_spectral(F, q, n))
             assert measured <= bound
 
 
@@ -453,17 +492,24 @@ def test_taylor_recompose_exp():
     np.testing.assert_allclose(got, F(lam), atol=1e-8)
 
 
+def test_taylor_recompose_exp_past_170_terms():
+    # 1/n! is carried by running division, so no term needs 171! as a float
+    F = qc.ScalarStem(qc.Exp())
+    got = qc.taylor_recompose(F, J * 0.1, 0.3, terms=200)
+    np.testing.assert_allclose(got, np.exp(0.3) * np.eye(2), atol=1e-13)
+
+
 class _ShiftedInverse(qc.AnalyticScalar):
-    # k! / (2 - z)^(k+1): analytic off z = 2, symmetric, closed under d/dz
-    def __init__(self, k=0):
-        self.k = k
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        return math.factorial(self.k) / (2.0 - z) ** (self.k + 1)
-
-    def derivative(self):
-        return _ShiftedInverse(self.k + 1)
+    # 1 / (2 - z), whose k-th derivative is k! / (2 - z)^(k+1): analytic off
+    # z = 2 and symmetric.  The jet carries k! by running products, which
+    # reach infinity quietly rather than raising on an integer k!.
+    def jet(self, z, k, absolute=False):
+        w = 1.0 / (2.0 - np.asarray(z, dtype=complex))
+        out = [w]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(1, k + 1):
+                out.append(out[-1] * (j * w))
+        return np.abs(out) if absolute else np.array(out)
 
     @property
     def symmetric(self):

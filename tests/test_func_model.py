@@ -4,31 +4,30 @@ import pytest
 import quatcalc as qc
 from quatcalc import I, J, K, L
 
-from conftest import random_hpoly, random_quaternion
+from conftest import derivative_tree, random_hpoly, random_quaternion
 
 
 def test_polynomial_eval_and_derivative():
     p = qc.Polynomial([1, 0, 3])  # 1 + 3 z^2
     assert p(2.0) == 13.0
     np.testing.assert_allclose(p(np.array([0, 1j])), [1, -2])
-    dp = p.derivative()
-    assert dp(2.0) == 12.0
+    assert p.jet(2.0, 1)[1] == 12.0
     assert p.symmetric
     assert not qc.Polynomial([1j]).symmetric
 
 
 def test_transcendental_derivatives():
     z = 0.3 + 0.7j
-    assert abs(qc.Exp().derivative()(z) - np.exp(z)) < 1e-15
-    assert abs(qc.Sin().derivative()(z) - np.cos(z)) < 1e-15
-    assert abs(qc.Cos().derivative()(z) + np.sin(z)) < 1e-15
+    assert abs(qc.Exp().jet(z, 1)[1] - np.exp(z)) < 1e-15
+    assert abs(qc.Sin().jet(z, 1)[1] - np.cos(z)) < 1e-15
+    assert abs(qc.Cos().jet(z, 1)[1] + np.sin(z)) < 1e-15
 
 
 def test_affine_sum_product_symmetry():
     f = qc.AffineArg(2.0, -1.0, qc.Exp())  # exp(2z - 1)
     assert f.symmetric
     assert abs(f(0.5j) - np.exp(1j - 1)) < 1e-15
-    assert abs(f.derivative()(0.2) - 2 * np.exp(-0.6)) < 1e-14
+    assert abs(f.jet(0.2, 1)[1] - 2 * np.exp(-0.6)) < 1e-14
     assert not qc.AffineArg(1j, 0.0, qc.Exp()).symmetric
 
     g = qc.Sum(qc.Polynomial([0, 1]), qc.Cos())
@@ -38,13 +37,7 @@ def test_affine_sum_product_symmetry():
     want = (z + np.cos(z)) * np.exp(z) * 1.0
     assert abs(h(z) - want) < 1e-14
     want_d = (1 - np.sin(z)) * np.exp(z) + (z + np.cos(z)) * np.exp(z)
-    assert abs(h.derivative()(z) - want_d) < 1e-13
-
-
-def _tree_size(f):
-    parts = getattr(f, "parts", ())
-    body = [f.body] if isinstance(f, qc.AffineArg) else []
-    return 1 + sum(_tree_size(p) for p in (*parts, *body))
+    assert abs(h.jet(z, 1)[1] - want_d) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -55,13 +48,52 @@ def _tree_size(f):
     ],
 )
 def test_repeated_derivatives_stay_small(f, want):
-    # the product rule's term for a constant factor is zero and is dropped,
-    # so the tree grows linearly with the order instead of doubling
-    for _ in range(16):
-        f = f.derivative()
-    assert _tree_size(f) < 200
+    # one jet of order 16, with no derivative tree
     z = np.array([0.3 + 0.7j, -1.2 + 0.1j, 2.0])
-    np.testing.assert_allclose(f(z), want(z), rtol=1e-13)
+    np.testing.assert_allclose(f.jet(z, 16)[16], want(z), rtol=1e-13)
+
+
+JET_POINTS = np.array([0.3 + 0.7j, -1.2 + 0.1j, 2.0, 0.5 - 1.0j])
+JET_SCALARS = {
+    "poly": qc.Polynomial([1.0, -2.0 + 0.5j, 0.0, 0.25, 1j, -0.1, 0.3]),
+    "exp": qc.Exp(),
+    "sin": qc.Sin(),
+    "cos": qc.Cos(),
+    "affine": qc.AffineArg(1.5 - 0.2j, 0.3j, qc.Sin()),
+    "sum": qc.Sum(qc.Polynomial([0.5, 1.0]), qc.Cos(), qc.AffineArg(-0.5, 1.0, qc.Exp())),
+    "product": qc.Product(qc.Exp(), qc.Sin()),
+}
+
+
+def _jet_matches_tree(f, k_max=12):
+    """Each derivative order 0..k_max of ``f``'s jet against its derivative
+    tree, at every point, to 1e-13 of the tree's value."""
+    jet = f.jet(JET_POINTS, k_max)
+    tree = f
+    for k in range(k_max + 1):
+        want = np.asarray(tree(JET_POINTS))
+        err = np.abs(jet[k] - want).reshape(len(JET_POINTS), -1).max(axis=1)
+        scale = np.abs(want).reshape(len(JET_POINTS), -1).max(axis=1)
+        assert np.all(err <= 1e-13 * scale), (k, err / scale)
+        tree = derivative_tree(tree)
+
+
+@pytest.mark.parametrize("kind", sorted(JET_SCALARS))
+def test_scalar_jets_match_derivative_trees(kind):
+    _jet_matches_tree(JET_SCALARS[kind])
+
+
+@pytest.mark.parametrize("kind", ["scalar", "pair", "hpoly", "entries"])
+def test_stem_jets_match_derivative_trees(rng, kind):
+    # a product with a polynomial factor, whose derivative tree stays small
+    f, g = JET_SCALARS["sum"], qc.Product(qc.Polynomial([0.5, 1.0, -0.3]), qc.Exp())
+    F = {
+        "scalar": qc.ScalarStem(g),
+        "pair": qc.PairStem(JET_SCALARS["affine"], f),
+        "hpoly": random_hpoly(rng, 14),
+        "entries": qc.EntrywiseFunction([[f, JET_SCALARS["poly"]], [qc.Exp(), g]]),
+    }[kind]
+    _jet_matches_tree(F)
 
 
 def test_opaque_spot_check():
@@ -73,7 +105,9 @@ def test_opaque_spot_check():
 
 def test_star_value():
     f = qc.Polynomial([1j, 1])  # z + i
-    assert abs(f.star_value(2.0) - (2 - 1j)) < 1e-15
+    # the lower-right entry of a pair stem is the reflected ``conj(f(conj z))``
+    F = qc.PairStem(f, qc.Polynomial([0]))
+    assert abs(F(2.0)[1, 1] - (2 - 1j)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
