@@ -38,11 +38,15 @@ _TAYLOR_GROW_LIMIT = 5
 _START_NODES = 16
 _MAX_NODES = 2**18
 
+#: Levels of ``_trapezoid_doubling``'s first batch: it decides nothing before
+#: its third level, whose grid holds the first two.
+_FIRST_LEVELS = 3
+
 #: Stopping rule of ``_trapezoid_doubling``: the share of the previous change
-#: that a settling change falls below, the share of the rounding floor that
-#: two successive changes must reach once it exceeds the tolerance, and the
-#: factor by which the floor may exceed the tolerance before the tolerance
-#: counts as out of reach.
+#: that a settling change falls below, the share of the rounding floor within
+#: which two successive changes count as rounding alone, and the factor by
+#: which the floor may exceed the tolerance before the tolerance counts as
+#: out of reach.
 _GEOMETRIC_SHRINK = 0.5
 _NOISE_SHARE = 0.5
 _FLOOR_REACH = 100.0
@@ -93,42 +97,54 @@ def _compensated_sum(values):
     return s[0] + err
 
 
-def _trapezoid_doubling(circle_sum, circles, tol):
+def _class_levels(levels):
+    """Level of each residue class ``k mod 2^(levels - 1)`` of a batch of
+    ``levels`` nested levels at offset 0: class 0 holds the first level's
+    nodes, and a class of 2-adic valuation v the nodes new at level
+    ``levels - 1 - v``.  Each level is closed under the mirror ``k -> -k``."""
+    return np.array([0] + [levels - (r & -r).bit_length() for r in range(1, 2 ** (levels - 1))])
+
+
+def _trapezoid_doubling(level_sums, tol):
     """Node-doubling trapezoid rule for ``(1/2 pi i)`` times a contour
-    integral over circles.  ``circle_sum(circle, nodes, offset)`` returns the
-    sum of ``integrand(z) dz/dtheta`` over the angles ``2 pi (k + offset) /
-    nodes`` of one circle, before the ``1/nodes`` weight, and a bound on the
-    sum of its terms' norms.
+    integral over circles.  ``level_sums(nodes, offset, levels)`` evaluates
+    ``integrand(z) dz/dtheta`` at the angles ``2 pi (k + offset) / nodes``
+    of every circle and returns, for each of the ``levels`` nested levels
+    that grid holds (``_class_levels``), the sum of its terms before the
+    ``1/nodes`` weight and a bound on the sum of their norms.
 
-    Each doubling evaluates only the new midpoints and adds them to the
-    running node sums (Trefethen & Weideman, SIAM Review 56, 2014).  Eps
-    times the mean norm of a level's terms is its rounding floor: the size
-    of change that rounding alone can cause.  Every decision waits for
-    three levels, so that two coarse levels agreeing by chance settle
-    nothing.  Levels start at ``_START_NODES`` per circle.  With
-    ``atol = tol * max(1, norm(value))`` the driver stops when
+    The first batch is the grid of level ``_FIRST_LEVELS`` (or of the cap,
+    if lower) at offset 0; each later doubling is one batch of the new
+    midpoints at offset 1/2, added to the running node sums (Trefethen &
+    Weideman, SIAM Review 56, 2014).  Eps times the mean norm of a level's
+    terms is its rounding floor: the size of change that rounding alone can
+    cause.  Every decision waits for three levels, so that two coarse
+    levels agreeing by chance settle nothing.  Levels start at
+    ``_START_NODES`` per circle.  With ``atol = tol * max(1, norm(value))``,
+    from the third level on:
 
-    - the last change is at most ``atol`` and at most half the change
-      before it (the geometric decay of the trapezoid error), or both of
-      the last two changes are at most ``max(atol, floor / 2)``: settled;
-    - the floor exceeds ``100 atol`` and the last change is within 100
-      floors, so the value has settled as far as ``atol`` is out of reach:
-      a stall, reported at once;
-    - the next level would pass ``_MAX_NODES``, or term norms overflow: a stall.
+    - the tolerance is out of reach, a stall reported at once, when the
+      floor exceeds ``100 atol`` and the last change is within 100 floors;
+    - otherwise the value has converged when the last change is at most
+      ``atol`` and either the change before it is too or the last is at
+      most half of it (the geometric decay of the trapezoid error);
+    - otherwise a value whose last two changes are both within half the
+      floor has settled short of ``atol``: a stall.
+
+    The next level passing ``_MAX_NODES``, or term norms that overflow, is a
+    stall too.
 
     Returns the value and its QuadratureDiagnostics.  A stall raises
     AccuracyError carrying both; a non-finite total raises NumericError.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidArgumentError("tol must be finite and non-negative")
-
-    def level_sums(nodes, offset):
-        sums = [circle_sum(c, nodes, offset) for c in circles]
-        return sum(s for s, _ in sums), sum(m for _, m in sums)
-
-    nodes = _START_NODES
-    running, magnitude = level_sums(nodes, 0.0)
-    prev, before, last = None, math.inf, math.inf
+    nodes, levels = _START_NODES, 1
+    while levels < _FIRST_LEVELS and nodes << levels <= _MAX_NODES:
+        levels += 1
+    batch = level_sums(nodes << (levels - 1), 0.0, levels)
+    running, magnitude = batch.pop(0)
+    prev, before, last, reason = None, math.inf, math.inf, ""
     while True:
         cur = running / nodes
         if not np.all(np.isfinite(cur)):
@@ -140,19 +156,21 @@ def _trapezoid_doubling(circle_sum, circles, tol):
             before, last = last, float(np.linalg.norm(cur - prev))
         if before < math.inf:  # from the third level on
             atol = tol * max(1.0, float(np.linalg.norm(cur)))
-            if floor > _FLOOR_REACH * atol and last <= _FLOOR_REACH * floor:
-                break
-            settled = max(before, last) <= max(atol, _NOISE_SHARE * floor)
-            if settled or (last <= atol and last <= _GEOMETRIC_SHRINK * before):
+            out_of_reach = floor > _FLOOR_REACH * atol and last <= _FLOOR_REACH * floor
+            shrinking = before <= atol or last <= _GEOMETRIC_SHRINK * before
+            if not out_of_reach and last <= atol and shrinking:
                 return cur, QuadratureDiagnostics(nodes, last, floor)
+            if out_of_reach or max(before, last) <= _NOISE_SHARE * floor:
+                reason = ": the tolerance is below the rounding floor"
+                break
         if nodes * 2 > _MAX_NODES:
             break
         prev = cur
-        sums, mags = level_sums(nodes, 0.5)
+        sums, mags = batch.pop(0) if batch else level_sums(nodes, 0.5, 1)[0]
         running, magnitude = running + sums, magnitude + mags
         nodes *= 2
     raise AccuracyError(
-        f"quadrature stalled at {nodes} nodes/circle "
+        f"quadrature stalled at {nodes} nodes/circle{reason} "
         f"(last change {last:.3e}, rounding floor {floor:.3e})",
         cur,
         QuadratureDiagnostics(nodes, last, floor),
@@ -231,7 +249,9 @@ def cauchy_transform(F, q, gamma, tol=1e-10, order=0):
     for an entire ``F`` of growth rate ``rho`` (Bornemann, Found. Comput.
     Math. 11, 2011).  A kernel that overflows where ``F`` is finite raises
     AccuracyError.  Nodes double per circle from 16, to 64 at least, under
-    ``_trapezoid_doubling`` with relative tolerance ``tol``; a stall raises
+    ``_trapezoid_doubling`` with relative tolerance ``tol``.  Each of its
+    batches makes one call of ``F`` on the nodes of all circles, and one
+    compensated sum of their terms by residue class.  A stall raises
     AccuracyError with the best-effort value and diagnostics on it, a
     non-finite total NumericError.  For stems it is the spectral value.
     """
@@ -246,24 +266,32 @@ def cauchy_transform(F, q, gamma, tol=1e-10, order=0):
     # k! spread over the k + 1 factors, so that neither k! nor the power overflows alone
     spread = math.exp(math.lgamma(order + 1) / (order + 1))
 
-    def circle_sum(c, nodes, offset):
-        unit = np.exp(2j * np.pi * (np.arange(nodes) + offset) / nodes)
-        z = c.center + c.radius * unit
+    centers = np.array([c.center for c in gamma.circles])[:, None]
+    radii = np.array([c.radius for c in gamma.circles])[:, None]
+
+    def level_sums(nodes, offset, levels):
+        # one F call and one cascade over every node of every circle: the
+        # nodes' rows split into the residue classes of _class_levels
+        w = radii * np.exp(2j * np.pi * (np.arange(nodes) + offset) / nodes)
+        z, dz = (centers + w).ravel(), w.ravel()
         values = F(z)
         kernel = (
             ((spread / (z - sp.s_plus)) ** (order + 1))[:, None, None] * e_plus
             + ((spread / (z - sp.s_minus)) ** (order + 1))[:, None, None] * e_minus
         )
-        terms = (values @ kernel) * (c.radius * unit)[:, None, None]
-        total = _compensated_sum(terms)
-        if not np.isfinite(total).all() and np.isfinite(values).all():
+        terms = (values @ kernel) * dz[:, None, None]
+        level = _class_levels(levels)
+        totals = _compensated_sum(terms.reshape(-1, level.size, 2, 2))
+        if not np.isfinite(totals).all() and np.isfinite(values).all():
             if not np.isfinite(kernel).all():
                 raise AccuracyError(f"the order-{order} kernel overflows: the contour is too tight")
-        return total, float(np.linalg.norm(terms, axis=(1, 2)).sum())
+        norms = np.linalg.norm(terms, axis=(1, 2)).reshape(-1, level.size).sum(axis=0)
+        return [(totals[level == j].sum(axis=0), float(norms[level == j].sum()))
+                for j in range(levels)]
 
     # overflow raises above or in the driver: numpy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        return _trapezoid_doubling(circle_sum, gamma.circles, tol)
+        return _trapezoid_doubling(level_sums, tol)
 
 
 def series_eval(coeffs, q, radius):

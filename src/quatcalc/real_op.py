@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour_calc import _check_enclosed, _trapezoid_doubling, build_contour
+from .contour_calc import _check_enclosed, _class_levels, _trapezoid_doubling, build_contour
 from .errors import (
     ContractViolationError,
     InvalidArgumentError,
@@ -245,14 +245,17 @@ def op_calculus(F, T, tol=1e-10, contour=None):
     analytic.  Either contour must hold every eigenvalue strictly inside
     (GeometryError otherwise).  It checks flat invariance of the value to
     1e-8 times its scale, and returns the real restriction, its
-    QuadratureDiagnostics and the flat defect.  A stall raises AccuracyError with the unchecked
-    complex value on it; a non-finite quadrature total raises NumericError.
+    QuadratureDiagnostics and the flat defect.  A stall raises
+    AccuracyError with the unchecked complex value on it; a non-finite
+    quadrature total raises NumericError.
 
-    With ``F = sum_j g_j A_j`` a circle's node sum is
+    With ``F = sum_j g_j A_j`` a level's node sum on a circle is
     ``sum_j A_j S_j``, ``S_j = sum_k w_k g_j(z_k) (z_k - T)^-1``.  F is
     evaluated at every node; the resolvent is solved at the nodes with angles
     in ``[0, pi]`` of a real-centered circle, whose mirrors ``conj z`` take
-    its conjugate, and at every node of any other circle.
+    its conjugate, and at every node of any other circle.  Each batch of
+    the doubling driver takes one solve per circle, and each level of the
+    batch one real matmul over its own nodes.
     """
     T = as_real_operator(T)
     n = T.shape[0]
@@ -268,31 +271,46 @@ def op_calculus(F, T, tol=1e-10, contour=None):
     mags = np.abs(F.coeffs)
     a_norm = np.sqrt(mags.sum(axis=1).max(axis=1) * mags.sum(axis=2).max(axis=1))
 
-    def circle_sum(circle, nodes, offset):
-        # R(conj z) = conj R(z) for R(z) = (z - T)^-1: the mirrored nodes are
-        # the exact conjugates of solved nodes and take no solve of their own
+    def circle_levels(circle, nodes, offset, levels):
+        # R(conj z) = conj R(z) for R(z) = (z - T)^-1: the nodes with angles
+        # in (pi, 2 pi) of a real-centered circle are the exact conjugates of
+        # solved nodes, of the same level, and take no solve of their own
         folded = circle.center.imag == 0.0
-        solved = nodes // 2 + int(offset == 0.0) if folded else nodes
-        unit = np.exp(2j * np.pi * (np.arange(solved) + offset) / nodes)
+        k = np.arange(nodes // 2 + int(offset == 0.0) if folded else nodes)
+        level = _class_levels(levels)[k % 2 ** (levels - 1)]
+        # each level's nodes contiguous, so that its contraction reads views
+        k = k[np.argsort(level, kind="stable")]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(level))))
+        solved = k.size
+        unit = np.exp(2j * np.pi * (k + offset) / nodes)
         z, w = circle.center + circle.radius * unit, circle.radius * unit
-        mirrored = slice(int(offset == 0.0), nodes // 2 if folded else 0)
+        mirrored = folded & (k + offset > 0) & (2 * (k + offset) < nodes)
         g = F.weights(np.concatenate((z, z[mirrored].conj())))
         a = g[:, :solved] * w
         b = np.zeros_like(a)
         b[:, mirrored] = g[:, solved:] * w[mirrored].conj()
         pencil = np.repeat(-T[None].astype(complex), solved, axis=0)
         pencil.reshape(solved, -1)[:, :: n + 1] += z[:, None]
-        R = np.linalg.solve(pencil, eye[None]).reshape(solved, n * n)
+        R = np.linalg.solve(pencil, eye[None]).reshape(solved, n * n).view(float)
         # S_j = sum_k (a_jk R_k + b_jk conj R_k) = (a + b)_j Re R + i (a - b)_j Im R
-        # by one real matmul over the nodes; the circle's sum is sum_j A_j S_j
+        # by one real matmul over each level's nodes; the level's sum is
+        # sum_j A_j S_j
         plus, minus = a + b, a - b
-        parts = np.concatenate((plus.real, plus.imag, minus.real, minus.imag)) @ R.view(float)
-        pr, pi, mr, mi = parts.reshape(4, -1, n, n, 2)
-        S = pr[..., 0] - mi[..., 1] + 1j * (pi[..., 0] + mr[..., 1])
-        magnitude = a_norm @ (np.abs(a) + np.abs(b)) @ np.linalg.norm(R, axis=1)
-        return np.tensordot(F.coeffs, S, axes=([0, 2], [0, 1])), float(magnitude)
+        coef = np.concatenate((plus.real, plus.imag, minus.real, minus.imag))
+        weight = (np.abs(a) + np.abs(b)).T @ a_norm * np.sqrt(np.einsum("ij,ij->i", R, R))
+        out = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pr, pi, mr, mi = (coef[:, lo:hi] @ R[lo:hi]).reshape(4, -1, n, n, 2)
+            S = pr[..., 0] - mi[..., 1] + 1j * (pi[..., 0] + mr[..., 1])
+            total = np.tensordot(F.coeffs, S, axes=([0, 2], [0, 1]))
+            out.append((total, float(weight[lo:hi].sum())))
+        return out
 
-    value, diag = _trapezoid_doubling(circle_sum, gamma.circles, tol)
+    def level_sums(nodes, offset, levels):
+        per_circle = [circle_levels(c, nodes, offset, levels) for c in gamma.circles]
+        return [(sum(s for s, _ in lv), sum(m for _, m in lv)) for lv in zip(*per_circle)]
+
+    value, diag = _trapezoid_doubling(level_sums, tol)
     scale = max(1.0, float(np.linalg.norm(value)))
     flat_defect = float(np.linalg.norm(value - flat(value)))
     if flat_defect > _FLAT_REL_TOL * scale:

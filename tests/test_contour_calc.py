@@ -209,9 +209,11 @@ class CountingStem(qc.ScalarStem):
 
     def __init__(self, f):
         super().__init__(f)
+        self.calls = 0
         self.points = 0
 
     def __call__(self, z):
+        self.calls += 1
         self.points += np.size(z)
         return super().__call__(z)
 
@@ -228,6 +230,58 @@ def test_doubling_evaluates_each_node_once(quadrature_nodes):
     _, diag = qc.cauchy_transform(F, J, gamma)
     assert diag.nodes_per_circle == 2048
     assert F.points == 2048 * len(gamma.circles)
+
+
+@pytest.mark.parametrize("q, margin, circles, nodes, calls", [
+    (qc.make_quaternion(0.3, 0.2, 0.0, 0.0), 0.5, 1, 64, 1),
+    (J, 0.3, 2, 64, 1),
+    (J * 0.3, 0.3, 1, 128, 2),
+])
+def test_one_call_of_f_per_level_batch(q, margin, circles, nodes, calls):
+    # the first batch is the 64-node grid, which holds the 16- and 32-node
+    # levels; each later doubling is one batch; every batch spans all circles
+    F = CountingStem(qc.Exp())
+    gamma = contour_for(q, margin)
+    _, diag = qc.cauchy_transform(F, q, gamma)
+    assert len(gamma.circles) == circles
+    assert diag.nodes_per_circle == nodes
+    assert F.calls == calls
+    assert F.points == nodes * circles
+
+
+def _pole_level_sums(asked):
+    """Level sums of ``(1/2 pi i) integral of dz / (z - 0.72)`` on the
+    circle of radius 0.9 about 0, whose trapezoid error is ``0.8^nodes``;
+    records each request."""
+    from quatcalc.contour_calc import _class_levels
+
+    def level_sums(nodes, offset, levels):
+        asked.append((nodes, offset, levels))
+        z = 0.9 * np.exp(2j * np.pi * (np.arange(nodes) + offset) / nodes)
+        terms = z / (z - 0.72)
+        level = _class_levels(levels)[np.arange(nodes) % 2 ** (levels - 1)]
+        return [(terms[level == j].sum(), float(np.abs(terms[level == j]).sum()))
+                for j in range(levels)]
+
+    return level_sums
+
+
+def test_driver_asks_for_the_first_three_levels_in_one_batch(quadrature_nodes):
+    from quatcalc.contour_calc import _class_levels, _trapezoid_doubling
+
+    assert _class_levels(3).tolist() == [0, 2, 1, 2]
+    asked = []
+    value, diag = _trapezoid_doubling(_pole_level_sums(asked), 1e-10)
+    assert asked == [(64, 0.0, 3), (64, 0.5, 1), (128, 0.5, 1)]
+    assert diag.nodes_per_circle == 256
+    assert abs(value - 1.0) <= 1e-12
+    # below four times the start, the first batch is the cap's grid
+    quadrature_nodes(16, 32)
+    asked.clear()
+    with pytest.raises(qc.AccuracyError) as stall:
+        _trapezoid_doubling(_pole_level_sums(asked), 1e-10)
+    assert asked == [(32, 0.0, 2)]
+    assert stall.value.diagnostics.nodes_per_circle == 32
 
 
 def _kahan_sum(values):
@@ -294,28 +348,30 @@ def _ill_conditioned_parts(rng, n):
     return rng.permutation(parts)
 
 
-@pytest.mark.parametrize("k", [4, 9, 13])
-def test_compensated_sum_matches_fsum(rng, k):
+@pytest.mark.parametrize("k, classes", [(4, 1), (9, 1), (13, 1), (4, 4), (9, 4), (13, 4)],
+                         ids=["4", "9", "13", "4-by-class", "9-by-class", "13-by-class"])
+def test_compensated_sum_matches_fsum(rng, k, classes):
+    # classes 4 is cauchy_transform's reshape to (-1, 4, 2, 2): one cascade
+    # along axis 0 gives the sums of the four residue classes, each its own
+    # ill-conditioned sum of n terms
     from quatcalc.contour_calc import _compensated_sum
 
     n = 2**k
-    values = np.empty((n, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            values[:, i, j] = _ill_conditioned_parts(rng, n) + 1j * _ill_conditioned_parts(rng, n)
+    values = np.empty((n, classes, 2, 2), dtype=complex)
+    for r, i, j in itertools.product(range(classes), range(2), range(2)):
+        values[:, r, i, j] = _ill_conditioned_parts(rng, n) + 1j * _ill_conditioned_parts(rng, n)
     got = _compensated_sum(values)
     eps = np.finfo(float).eps
-    for i in range(2):
-        for j in range(2):
-            for part in (np.real, np.imag):
-                p = part(values[:, i, j])
-                exact = math.fsum(p)
-                abs_sum = math.fsum(np.abs(p))
-                assert abs_sum >= 1e6 * abs(exact)
-                # the bound of a sequential Kahan sum ...
-                assert abs(part(got[i, j]) - exact) <= 2.0 * eps * abs_sum
-                # ... and of a sum in twice the working precision
-                assert abs(part(got[i, j]) - exact) <= eps * abs(exact) + (n * eps) ** 2 * abs_sum
+    for r, i, j in itertools.product(range(classes), range(2), range(2)):
+        for part in (np.real, np.imag):
+            p = part(values[:, r, i, j])
+            exact = math.fsum(p)
+            abs_sum = math.fsum(np.abs(p))
+            assert abs_sum >= 1e6 * abs(exact)
+            # the bound of a sequential Kahan sum ...
+            assert abs(part(got[r, i, j]) - exact) <= 2.0 * eps * abs_sum
+            # ... and of a sum in twice the working precision
+            assert abs(part(got[r, i, j]) - exact) <= eps * abs(exact) + (n * eps) ** 2 * abs_sum
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +425,20 @@ def test_kernel_route_reaches_roundoff_when_the_radius_grows_with_the_order(orde
     want = np.diag([exp_sin_derivative(0.5 + 1j, order), exp_sin_derivative(0.5 - 1j, order)])
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert diag.nodes_per_circle <= 256
+
+
+def test_a_value_settled_short_of_the_tolerance_stalls():
+    # on radius-1 circles the order-12 kernel lifts the rounding floor to
+    # about 12 times the tolerance: the last two changes settle within half
+    # the floor but above the tolerance, a value with digits missing
+    sp = qc.spectrum(EXP_SIN_AT)
+    gamma = qc.build_contour([sp.s_plus, sp.s_minus], 1.0)
+    with pytest.raises(qc.AccuracyError, match="below the rounding floor") as stall:
+        qc.cauchy_transform(EXP_SIN, EXP_SIN_AT, gamma, order=12)
+    value, diag = stall.value.value, stall.value.diagnostics
+    atol = 1e-10 * max(1.0, np.linalg.norm(value))
+    assert diag.est_error > atol
+    assert atol < diag.rounding_floor <= 100 * atol
 
 
 def test_kernel_overflow_on_a_tight_contour_is_an_accuracy_error():

@@ -414,6 +414,36 @@ def test_each_node_is_evaluated_once_and_half_are_solved(monkeypatch, quadrature
     assert sum(systems) == 1025
 
 
+@pytest.mark.parametrize("T, contour, nodes, solves, systems", [
+    # one real-centered circle: its first batch solves the 9 + 8 + 16 nodes
+    # in [0, pi] of the 16-, 32- and 64-node levels
+    (rotation_block(0.3, 0.8), None, 64, [33], 33),
+    (np.diag([-3.0, 3.0]), None, 64, [33, 33], 66),
+    # off the real axis every node is solved
+    (rotation_block(0.3, 0.8), qc.Contour((qc.Circle(0.3 + 0.8j, 0.5), qc.Circle(0.3 - 0.8j, 0.5))),
+     64, [64, 64], 128),
+    # each later doubling is one batch of midpoints
+    (rotation_block(0.0, 3.0), qc.Contour((qc.Circle(0j, 3.5),)), 512, [33, 32, 64, 128], 257),
+])
+def test_one_solve_per_circle_per_level_batch(monkeypatch, T, contour, nodes, solves, systems):
+    import scipy.linalg
+
+    calls = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    F = qc.MatrixCoefficientFunction.from_scalar(qc.Exp(), 2)
+    value, diag, _ = qc.op_calculus(F, T, contour=contour)
+    assert diag.nodes_per_circle == nodes
+    assert calls == solves
+    assert sum(calls) == systems
+    np.testing.assert_allclose(value, scipy.linalg.expm(T), rtol=1e-10)
+
+
 @pytest.mark.parametrize("seed", [2, 4])
 def test_sine_of_non_normal_triangular_matrices(seed):
     import scipy.linalg
