@@ -16,12 +16,12 @@ decode, a scalar function nested deeper than 64, a domain with no disk, a
 ``grid.directions`` above 10,000 or a negative ``grid.seed``, a ``mult-op``
 of more than 256 quaternions, a ``joint-*`` pair larger than 32 x 32, a
 ``joint-calc`` of an n x n pair at ``--grid-res`` r with ``n^2 r^3`` above
-``32^2 48^3``, or a usage error such as an unknown command, a non-finite
-``--tol``, ``--margin`` or ``--fd-step``, an ``--fd-step`` that is not
-positive or rounds away at a sample point, or a ``--grid-res`` above 256)
+``32^2 48^3``, a ``slice-check`` circle that rounds away at a sample point,
+or a usage error such as an unknown command or option, a non-finite
+``--tol`` or ``--margin``, or a ``--grid-res`` above 256)
 or output error (an ``--output`` path that cannot be written), 2 domain/
 geometry/contract error or a non-finite result (including a non-finite
-``slice-check`` stencil value, or a pair whose products overflow), 3
+``slice-check`` value, or a pair whose products overflow), 3
 accuracy error (including a quadrature that stalls before its tolerance: a
 rounding floor far above it, the node cap, or a ``deriv`` kernel that
 overflows on a contour too tight for its order; a spectral derivative
@@ -96,8 +96,8 @@ _MAX_DERIV_ORDER = 170
 #: the resolution: a 2x2 pair takes 0.6 s at 128 and 3.6 s at 256 on 2 vCPUs.
 _MAX_GRID_RES = 256
 
-#: Largest ``slice-check`` ``grid.points`` and ``grid.directions``; 10,000
-#: points take about 0.5 s.
+#: Largest ``slice-check`` ``grid.points`` and ``grid.directions``; an ``exp``
+#: stem on 10,000 points takes about 0.6 s per process (2 vCPUs).
 _MAX_SLICE_POINTS = 10_000
 
 #: Most quaternions in ``mult-op``; its dense real matrix has side 4 times
@@ -351,7 +351,7 @@ def _run_slice_check(doc, args):
         seed = _number_in(grid_doc.get("seed", 0), integral=True)
         if seed < 0:
             raise ParseError(f"grid seed must be non-negative, got {seed}")
-    grid = SliceSampleGrid.random(domain, n_points, n_directions, h=args.fd_step, seed=seed)
+    grid = SliceSampleGrid.random(domain, n_points, n_directions, seed=seed)
     report = slice_regularity_report(G, grid, tol=args.tol)
     x, y, s = report.worst_point
     out = {
@@ -469,7 +469,7 @@ _HANDLERS = {
 
 
 def _finite_float(text):
-    """Option type for thresholds and steps: a finite float."""
+    """Option type for thresholds and margins: a finite float."""
     try:
         value = float(text)
     except ValueError:
@@ -487,8 +487,13 @@ def _grid_res(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one stderr line and exit 1, not a usage block and exit 2
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quatcalc",
         description="Quaternionic spectra and analytic functional calculus.",
     )
@@ -496,7 +501,6 @@ def build_parser():
     parser.add_argument("--input", help="input JSON document (default: stdin)")
     parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--tol", type=_finite_float, default=1e-10, help="tolerance / check threshold")
-    parser.add_argument("--fd-step", type=_finite_float, default=1e-4, help="finite-difference step")
     parser.add_argument("--grid-res", type=_grid_res, default=48,
                         help=f"sphere grid resolution per angle (at most {_MAX_GRID_RES})")
     parser.add_argument("--margin", type=_finite_float, default=0.25, help="contour/sphere clearance margin")
@@ -514,12 +518,6 @@ def run(argv):
     """Parse, dispatch, and write one job; returns the process exit code."""
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 after --help and 2 on a usage error, which is a
-        # parse error here; 2 is the code for domain errors
-        return 1 if exc.code else 0
-
-    try:
         if args.input:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -528,6 +526,8 @@ def run(argv):
         doc = json.loads(text, parse_constant=_reject_constant)
         if not isinstance(doc, dict):
             raise ParseError("top-level document must be an object")
+    except SystemExit:  # after --help
+        return 0
     except (OSError, json.JSONDecodeError, ParseError, RecursionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

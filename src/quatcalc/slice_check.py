@@ -9,14 +9,13 @@ rebuilds the stem.
 
 The maps ``G`` under test act on stacks: they take quaternion matrix views
 of shape (..., 2, 2) and return values of the same shape.  A check
-evaluates ``G`` once on the stencil points of its whole sample grid;
+evaluates ``G`` once on the circle nodes of its whole sample grid;
 ``quaternionwise`` lifts a map on single quaternions to this contract.
-A non-finite stencil result raises NumericError.
+A non-finite result raises NumericError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,11 @@ from .quat_core import (
 )
 
 _IDENT2 = np.eye(2, dtype=complex)
+
+#: Nodes and default radius of the circle rule in ``dbar_s``: it reaches
+#: roundoff on the ``exp``, ``sin`` and ``exp(2z) sin(z)`` stems over the
+#: disk of radius 2.
+_NODES, _RADIUS = 16, 0.25
 
 
 def _as_matrix(value):
@@ -65,52 +69,64 @@ def quaternionwise(g):
     return G
 
 
-def dbar_s(G, x, y, s, h=1e-4):
-    """Central-difference slice Cauchy-Riemann operator at ``x*I + y*s``.
+def dbar_s(G, x, y, s, radius=_RADIUS):
+    """Mean of ``(1/2) [dG/dx + (dG/dy) s]`` over the disk of radius
+    ``r = radius`` about ``p = x*I + y*s``.
 
-    Returns ``(1/2) [dG/dx + (dG/dy) s]`` with second-order stencils of
-    width ``h``.  ``x`` and ``y`` are numbers or arrays of one shape ``P``;
-    ``s`` is a unit purely imaginary Quaternion or an array of matrix views
-    of such, shape ``P + (2, 2)``; the result has shape ``P + (2, 2)``.
-    ``G`` is called once, on the stack of all stencil points.
+    Green's formula and the N = 16 node trapezoid rule on the boundary give
+    ``(1/(N r)) sum_{k<N/2} (G(p + r e_k) - G(p - r e_k)) (cos t_k + sin t_k s)``:
+    a regular map aliases only at order ``r^N``, a constant reads exactly
+    zero and a linear map its exact value.  ``x`` and ``y`` are numbers or
+    arrays of one shape ``P``; ``s`` is a unit purely imaginary Quaternion
+    or an array of matrix views of such, shape ``P + (2, 2)``, the shape of
+    the result.  ``G`` is called once, on all circle nodes.  A radius that
+    rounds away (``x + r == x``), where every difference would read zero,
+    raises InvalidArgumentError.
     """
     S = s.matrix() if isinstance(s, Quaternion) else np.asarray(s, dtype=complex)
     _check_directions(S, "s must satisfy s*s = -I")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    px = np.stack([x + h, x - h, x, x])
-    py = np.stack([y, y, y + h, y - h])
-    values = G(px[..., None, None] * _IDENT2 + py[..., None, None] * S)
-    gx = (values[0] - values[1]) / (2.0 * h)
-    gy = (values[2] - values[3]) / (2.0 * h)
-    out = 0.5 * (gx + gy @ S)
+    rounded = np.flatnonzero((x + radius == x) | (y + radius == y))
+    if rounded.size:
+        px, py = float(x.flat[rounded[0]]), float(y.flat[rounded[0]])
+        raise InvalidArgumentError(f"circle radius {radius} rounds away at the point ({px}, {py})")
+    half = _NODES // 2
+    # the first half of the nodes, per call: np.cos and np.sin run at import
+    # would add 0.3 MB to the peak memory of every process
+    t = 2.0 * np.pi * np.arange(half) / _NODES
+    cos_sin = np.array([np.cos(t), np.sin(t)])
+    dx, dy = radius * cos_sin.reshape((2, half) + (1,) * x.ndim)
+    px = np.concatenate([x + dx, x - dx])
+    py = np.concatenate([y + dy, y - dy])
+    nodes = py[..., None, None] * S
+    nodes[..., 0, 0] += px
+    nodes[..., 1, 1] += px
+    values = G(nodes)
+    diff = values[:half] - values[half:]
+    gx, gy = (cos_sin @ diff.reshape(half, -1)).reshape((2,) + diff.shape[1:])
+    out = (gx + gy @ S) / (_NODES * radius)
     if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite result in the slice Cauchy-Riemann stencil")
+        raise NumericError("non-finite result in the slice Cauchy-Riemann circle rule")
     return out
 
 
 @dataclass
 class SliceSampleGrid:
-    """Evaluation points ``(x, y, s)`` plus the finite-difference step.
+    """Evaluation points ``(x, y, s)`` and the ``radius`` of their circles
+    (0.25 unless ``random`` fits it to a domain).
 
-    The step must be finite, positive and large enough that every stencil
-    point ``x + h`` and ``y + h`` differs from its center in floating point;
-    a step that rounds away makes every difference zero and passes any map.
     ``x``, ``y`` and ``direction_matrices`` (the matrix view of each point's
     ``s``) are the points as arrays.
     """
 
     points: list
-    h: float = 1e-4
+    radius: float = field(init=False, default=_RADIUS)
     x: np.ndarray = field(init=False, repr=False, compare=False)
     y: np.ndarray = field(init=False, repr=False, compare=False)
     direction_matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise InvalidArgumentError(
-                f"finite-difference step must be finite and positive, got {self.h!r}"
-            )
         self.points = list(self.points)
         index = {}
         for _, _, s in self.points:
@@ -120,22 +136,16 @@ class SliceSampleGrid:
         xy = np.array([(x, y) for x, y, _ in self.points], dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(xy)):
             raise InvalidArgumentError("non-finite grid coordinate")
-        rounded = np.flatnonzero(np.any(xy + self.h == xy, axis=1))
-        if rounded.size:
-            x, y = xy[rounded[0]]
-            raise InvalidArgumentError(
-                f"finite-difference step {self.h!r} rounds away at the point ({x!r}, {y!r})"
-            )
         self.x, self.y = xy[:, 0], xy[:, 1]
         self.direction_matrices = mats[np.array([index[s] for _, _, s in self.points], dtype=int)]
 
     @classmethod
-    def random(cls, domain, n_points, n_directions, h=1e-4, seed=0):
-        """Random grid with slice coordinates (including stencils) in the domain.
+    def random(cls, domain, n_points, n_directions, seed=0):
+        """Random grid whose circles lie inside the domain.
 
-        Candidates are drawn in bulk and kept in order; on a single disk
-        they are the same points as drawn one at a time.  Raises when fewer
-        than one candidate in 1000 fits.
+        Each point lies within ``0.8 R`` of its disk's center, and the circle
+        radius is ``min(0.25, R_min / 8)`` for the smallest disk radius, so
+        every circle stays inside its own disk.  Points are drawn in bulk.
         """
         if n_points < 1 or n_directions < 1:
             raise InvalidArgumentError("need at least one point and one direction")
@@ -143,30 +153,19 @@ class SliceSampleGrid:
         directions = [random_unit_imaginary(rng) for _ in range(n_directions)]
         centers = np.array([c for c, _ in domain.disks])
         radii = np.array([r for _, r in domain.disks])
-        xs, ys = [], []
-        found = drawn = 0
-        while found < n_points:
-            if drawn >= 1000 * n_points:
-                raise InvalidArgumentError("domain too small for the stencil width")
-            m = min(1000 * n_points - drawn, max(2 * (n_points - found), 64))
-            # a single disk draws no index, so its candidates are the ones a
-            # one-at-a-time draw gives
-            k = rng.integers(len(radii), size=m)
-            u = rng.uniform(size=(m, 2))
-            z = centers[k] + ((0.8 * radii[k]) * np.sqrt(u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
-            x, y = z.real, z.imag
-            stencil = np.stack([x + h, x - h, x, x]) + 1j * np.stack([y, y, y + h, y - h])
-            keep = np.flatnonzero(np.all(domain.contains(stencil), axis=0))[: n_points - found]
-            xs.append(x[keep])
-            ys.append(y[keep])
-            found += keep.size
-            drawn += m
+        # a single disk draws no index, so its points are the ones a
+        # one-at-a-time draw gives
+        k = rng.integers(len(radii), size=n_points)
+        u = rng.uniform(size=(n_points, 2))
+        z = centers[k] + ((0.8 * radii[k]) * np.sqrt(u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
         points = zip(
-            np.concatenate(xs).tolist(),
-            np.concatenate(ys).tolist(),
+            z.real.tolist(),
+            z.imag.tolist(),
             (directions[k % n_directions] for k in range(n_points)),
         )
-        return cls(list(points), h=h)
+        grid = cls(list(points))
+        grid.radius = min(_RADIUS, float(radii.min()) / 8.0)
+        return grid
 
 
 @dataclass
@@ -180,12 +179,13 @@ def slice_regularity_report(G, grid, tol=1e-5):
     """Worst slice Cauchy-Riemann defect of ``G`` over a sample grid.
 
     One ``dbar_s`` evaluation covers the grid; the defect at a point is the
-    2-norm of its operator value, and the first maximum is the worst point.
+    2-norm of its operator value, an absolute measure, and the first
+    maximum is the worst point.
     """
     if not grid.points:
         raise InvalidArgumentError("empty sample grid")
     defects = np.linalg.norm(
-        dbar_s(G, grid.x, grid.y, grid.direction_matrices, h=grid.h), 2, axis=(-2, -1)
+        dbar_s(G, grid.x, grid.y, grid.direction_matrices, radius=grid.radius), 2, axis=(-2, -1)
     )
     worst = int(np.argmax(defects))
     max_defect = float(defects[worst])
@@ -278,13 +278,13 @@ def spectral_evaluator(F):
     """Stacked map ``Q -> F(Q)`` through the closed-form spectral calculus.
 
     For quaternion matrix views ``Q`` of shape (..., 2, 2), with
-    ``x = Re(z1)`` and ``t = |Im q|``, returns ``F(s+)E+ + F(s-)E-`` where
-    ``s+- = x +- it``, ``E+- = (I -+ i S)/2`` and ``S = (Q - x I)/t``
-    (``E+- = I/2`` where ``t = 0``).  Only components are divided by ``t``,
-    never a difference of values.  Coordinates below ``DEGENERATE_REL_TOL``
-    times ``max(1, |q|)`` count as zero, as in ``spectrum``.  Raises
-    DomainError when some ``s+-`` leaves ``F.domain``.  ``eval_spectral`` is
-    the single-quaternion form.
+    ``x = Re(z1)`` and ``t = |Im q|``, returns ``F(s+)E+ + F(s-)E-`` with
+    ``s+- = x +- it`` and ``E+- = (I -+ i S)/2``, as
+    ``(F(s+) + F(s-))/2 - (i/2) (F(s+) - F(s-)) S``, where
+    ``S = (Q - x I)/t = [[a, b], [-conj b, conj a]]`` (0 where ``t = 0``)
+    multiplies elementwise.  Only components are divided by ``t``.  Coordinates below ``DEGENERATE_REL_TOL`` times ``max(1, |q|)``
+    count as zero, as in ``spectrum``.  Raises DomainError when some ``s+-``
+    leaves ``F.domain``.  ``eval_spectral`` is the single-quaternion form.
     """
 
     def G(Q):
@@ -300,16 +300,13 @@ def spectral_evaluator(F):
         if F.domain is not None and not np.all(F.domain.contains(s)):
             raise DomainError("spectrum of q is outside the function domain")
         safe_t = np.where(t > 0.0, t, 1.0)
-        alpha = y / safe_t
-        beta = z2 / safe_t
-        proj = np.empty((2,) + Q.shape, dtype=complex)
-        proj[0, ..., 0, 0] = proj[1, ..., 1, 1] = 0.5 * (1.0 + alpha)
-        proj[0, ..., 1, 1] = proj[1, ..., 0, 0] = 0.5 * (1.0 - alpha)
-        proj[0, ..., 0, 1] = -0.5j * beta
-        proj[1, ..., 0, 1] = 0.5j * beta
-        proj[0, ..., 1, 0] = 0.5j * beta.conj()
-        proj[1, ..., 1, 0] = -0.5j * beta.conj()
-        values = F(s) @ proj
-        return values[0] + values[1]
+        a = (1j * y / safe_t)[..., None]
+        b = (z2 / safe_t)[..., None]
+        plus, minus = F(s)
+        d = -0.5j * (plus - minus)
+        out = 0.5 * (plus + minus)
+        out[..., 0] += d[..., 0] * a - d[..., 1] * b.conj()
+        out[..., 1] += d[..., 0] * b + d[..., 1] * a.conj()
+        return out
 
     return G

@@ -268,7 +268,7 @@ def test_criterion_08_slice_regularity():
         started = time.perf_counter()
         rng = np.random.default_rng(808)
         domain = qc.SymmetricDomain.disk(0.0, 1.5)
-        grid = qc.SliceSampleGrid.random(domain, 1000, 10, h=1e-4, seed=88)
+        grid = qc.SliceSampleGrid.random(domain, 1000, 10, seed=88)
         functions = [
             qc.spectral_evaluator(random_hpoly(rng, 3, scale=0.7)),
             qc.spectral_evaluator(random_hpoly(rng, 5, scale=0.5)),

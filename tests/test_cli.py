@@ -268,7 +268,9 @@ def test_parse_error_exit_code(capsys):
 )
 def test_usage_error_exits_1(capsys, argv):
     assert cli.run(argv) == 1
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("parse error: ")
 
 
 def test_help_exits_0(capsys):
@@ -313,8 +315,6 @@ STEM_EXP = {"function": {"kind": "scalar", "f": {"kind": "exp"}}}
         ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--tol", "nan"),
         ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--margin", "inf"),
         ("deriv", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--margin", "nan"),
-        ("slice-check", STEM_EXP, "--fd-step", "-inf"),
-        ("slice-check", STEM_EXP, "--fd-step", "abc"),
     ],
 )
 def test_non_finite_option_exits_1(capsys, command, doc, flag, value):
@@ -324,12 +324,27 @@ def test_non_finite_option_exits_1(capsys, command, doc, flag, value):
 
 
 @pytest.mark.parametrize("kind", ["exp", "star-involution"])
-@pytest.mark.parametrize("step", ["0", "-0.5", "1e-300"])
+@pytest.mark.parametrize("step", ["0", "-0.5", "1e-300", "1e-4"])
 def test_degenerate_fd_step_exits_1(capsys, kind, step):
+    # slice-check has no step to set: --fd-step, degenerate or not, is an
+    # unknown option
     fdoc = {"kind": kind} if kind == "star-involution" else STEM_EXP["function"]
-    code, out = run_cli(capsys, "slice-check", {"function": fdoc}, "--fd-step", step)
+    code, out, err = run_cli_err(capsys, "slice-check", {"function": fdoc}, "--fd-step", step)
     assert code == 1
     assert out == ""
+    assert err == f"parse error: unrecognized arguments: --fd-step {step}\n"
+
+
+def test_slice_circle_rounding_away_exits_1(capsys):
+    # at x = 1e17 a circle of radius 1/8 rounds away, and every difference
+    # of the rule would read zero
+    grid = {"domain": [{"center": {"re": 1e17, "im": 0}, "radius": 1}]}
+    code, out, err = run_cli_err(capsys, "slice-check", dict(STEM_EXP, grid=grid))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("parse error: circle radius 0.125 rounds away at the point (1e+17, ")
+    assert "np.float64" not in err
 
 
 JOINT_DOC = {

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import quatcalc as qc
 from quatcalc import I, J, K, L
+
+from quatcalc.slice_check import _NODES
 
 from conftest import random_hpoly, random_quaternion
 
@@ -39,21 +42,18 @@ def test_dbar_requires_unit_imaginary():
         qc.dbar_s(qc.quaternionwise(lambda q: q.matrix()), 0.0, 0.0, I)
 
 
-def test_finite_difference_error_is_second_order(rng):
-    # smooth non-regular map (Re q)^3 * I; its stencil error is exactly h^2/2
+def test_circle_rule_is_exact_disk_mean(rng):
+    # smooth non-regular map (Re q)^3 * I: its operator value is 1.5 x^2 I,
+    # whose mean over the disk of radius r about x is 1.5 (x^2 + r^2/4) I
     def G(q):
         return q.re ** 3 * np.eye(2)
 
-    def exact(x):
-        return 1.5 * x * x * np.eye(2)
-
     s = qc.random_unit_imaginary(rng)
     x, y = 0.7, 0.4
-    errs = []
-    for h in (1e-2, 5e-3, 2.5e-3):
-        errs.append(np.linalg.norm(qc.dbar_s(qc.quaternionwise(G), x, y, s, h=h) - exact(x), 2))
-    assert 3.5 <= errs[0] / errs[1] <= 4.5
-    assert 3.5 <= errs[1] / errs[2] <= 4.5
+    for r in (0.25, 0.1, 1e-3):
+        got = qc.dbar_s(qc.quaternionwise(G), x, y, s, radius=r)
+        want = 1.5 * (x * x + r * r / 4.0) * np.eye(2)
+        assert np.linalg.norm(got - want, 2) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -102,42 +102,48 @@ def test_report_passes_for_contour_values(rng, quadrature_nodes):
 def test_grid_validation():
     with pytest.raises(qc.InvalidArgumentError):
         qc.SliceSampleGrid([(0.0, 0.0, I)])
-    for h in (math.nan, math.inf):
-        with pytest.raises(qc.InvalidArgumentError):
-            qc.SliceSampleGrid([(0.5, 0.25, J)], h=h)
 
 
-@pytest.mark.parametrize("h", [0.0, -0.5, 1e-300])
-def test_degenerate_finite_difference_step_rejected(h):
-    # a zero step divides by zero, a negative one flips the stencil, and
-    # 1e-300 rounds away at 0.5, where every difference would read zero
-    with pytest.raises(qc.InvalidArgumentError):
-        qc.SliceSampleGrid([(0.5, 0.25, J)], h=h)
-    with pytest.raises(qc.InvalidArgumentError):
-        qc.SliceSampleGrid.random(DISK2, 10, 2, h=h)
+def test_radius_that_rounds_away_rejected():
+    # every difference of the rule would read zero and pass any map
+    G = qc.quaternionwise(lambda q: q.star())
+    for radius in (0.0, 1e-300):
+        with pytest.raises(qc.InvalidArgumentError, match=r"rounds away at the point \(0\.5, 0\.25\)"):
+            qc.dbar_s(G, 0.5, 0.25, J, radius=radius)
+    for x, y in ((1e17, 0.0), (0.0, -1e17)):
+        grid = qc.SliceSampleGrid([(0.3, 0.2, J), (x, y, K)])
+        with pytest.raises(qc.InvalidArgumentError, match=re.escape(f"at the point ({x}, {y})")):
+            qc.slice_regularity_report(G, grid)
+
+
+def circle_nodes(x, y, r):
+    """The slice coordinates of the circle rule's nodes about ``(x, y)``."""
+    t = 2.0 * np.pi * np.arange(_NODES) / _NODES
+    return [(x + r * c, y + r * sn) for c, sn in zip(np.cos(t), np.sin(t))]
 
 
 def per_point_reference(g, grid):
-    """Worst defect by the per-point loop: four values of the single-quaternion
-    map ``g`` and one SVD per grid point.  Returns it with the largest entry of
-    any value, for scaling tolerances."""
-    h = grid.h
+    """Worst defect by the per-point loop: the full trapezoid sum of Green's
+    formula over each point's circle, from values of the single-quaternion
+    map ``g``, and one SVD per grid point.  Returns it with the largest entry
+    of any value, for scaling tolerances."""
+    r = grid.radius
+    t = 2.0 * np.pi * np.arange(_NODES) / _NODES
     worst, scale = -1.0, 0.0
     for x, y, s in grid.points:
-        vals = []
-        for px, py in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
-            v = g(I * px + s * py)
-            vals.append(v.matrix() if isinstance(v, qc.Quaternion) else np.asarray(v, dtype=complex))
-        scale = max(scale, *(float(np.abs(v).max()) for v in vals))
-        gx = (vals[0] - vals[1]) / (2.0 * h)
-        gy = (vals[2] - vals[3]) / (2.0 * h)
-        worst = max(worst, float(np.linalg.norm(0.5 * (gx + gy @ s.matrix()), 2)))
+        S = s.matrix()
+        total = np.zeros((2, 2), dtype=complex)
+        for c, sn in zip(np.cos(t), np.sin(t)):
+            v = g(I * (x + r * c) + s * (y + r * sn))
+            v = v.matrix() if isinstance(v, qc.Quaternion) else np.asarray(v, dtype=complex)
+            scale = max(scale, float(np.abs(v).max()))
+            total += v @ (c * np.eye(2) + sn * S)
+        worst = max(worst, float(np.linalg.norm(total / (_NODES * r), 2)))
     return worst, scale
 
 
-def sequential_grid_reference(domain, n_points, n_directions, h=1e-4, seed=0):
-    """Grid points drawn one candidate at a time, each stencil checked by scalar
-    membership."""
+def sequential_grid_reference(domain, n_points, n_directions, seed=0):
+    """Grid points drawn one at a time."""
     rng = np.random.default_rng(seed)
     directions = [qc.random_unit_imaginary(rng) for _ in range(n_directions)]
     disks = domain.disks
@@ -145,10 +151,7 @@ def sequential_grid_reference(domain, n_points, n_directions, h=1e-4, seed=0):
     while len(points) < n_points:
         c, r = disks[rng.integers(len(disks))]
         z = c + (0.8 * r) * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        x, y = float(z.real), float(z.imag)
-        if all(domain.contains(complex(px, py))
-               for px, py in ((x + h, y), (x - h, y), (x, y + h), (x, y - h))):
-            points.append((x, y, directions[len(points) % n_directions]))
+        points.append((float(z.real), float(z.imag), directions[len(points) % n_directions]))
     return points
 
 
@@ -172,7 +175,7 @@ REPORT_CASES = {
 
 
 def _edge_grid(rng):
-    # stencils across the real axis (|y| <= h and y = 0 exactly) and slices
+    # circles across the real axis (|y| <= r and y = 0 exactly) and slices
     # through J and -J, whose points have z2 = 0
     s1, s2 = qc.random_unit_imaginary(rng), qc.random_unit_imaginary(rng)
     minus_j = qc.Quaternion(-1j, 0.0)
@@ -251,17 +254,14 @@ def test_single_disk_grid_matches_sequential_draw(disk, n_points, n_directions):
 
 
 def test_multi_disk_grid_keeps_stencils_inside():
+    # the stencil of each point is its circle of 16 nodes
     domain = qc.SymmetricDomain([(0.5 + 0.3j, 0.2), (-1.0, 0.5)])
     grid = qc.SliceSampleGrid.random(domain, 200, 3, seed=1)
     assert len(grid.points) == 200
+    assert grid.radius == 0.2 / 8
     for x, y, _ in grid.points:
-        for px, py in ((x + grid.h, y), (x - grid.h, y), (x, y + grid.h), (x, y - grid.h)):
+        for px, py in circle_nodes(x, y, grid.radius):
             assert domain.contains(complex(px, py))
-
-
-def test_too_small_domain_rejected():
-    with pytest.raises(qc.InvalidArgumentError, match="domain too small"):
-        qc.SliceSampleGrid.random(qc.SymmetricDomain.disk(0.0, 1e-4), 3, 1)
 
 
 def test_non_finite_stencil_value_raises():
