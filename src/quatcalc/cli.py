@@ -415,14 +415,11 @@ def _run_joint_spectrum(doc, args):
     with _reading():
         pair = _pair_in(doc)
     points = joint_spectrum_points(pair)
+    margins = joint_resolvent_margin(pair, np.array(points).T)
     return {
         "points": [
-            {
-                "margin": joint_resolvent_margin(pair, p),
-                "z1": _c_out(p[0]),
-                "z2": _c_out(p[1]),
-            }
-            for p in points
+            {"margin": float(m), "z1": _c_out(p[0]), "z2": _c_out(p[1])}
+            for p, m in zip(points, margins)
         ]
     }
 

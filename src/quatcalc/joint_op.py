@@ -61,13 +61,15 @@ class CommutingPair:
     """Pair of same-size commuting real matrices, held as read-only copies.
 
     Raises NumericError when a product of the pair overflows, as the pencil
-    ``L`` would.  Pairs compare and hash by identity, as each keeps its own
-    spectrum."""
+    ``L`` would.  Keeps the spectral norms of ``T1`` and ``T2`` that scale
+    its commutator check, and compares and hashes by identity, as each pair
+    keeps its own spectrum."""
 
     t1: np.ndarray
     t2: np.ndarray
     #: The ``joint_spectrum_points`` result, once computed.
     _points: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _norms: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t1 = as_real_operator(self.t1).copy()
@@ -80,11 +82,12 @@ class CommutingPair:
             finite = np.isfinite(commutator).all() and np.isfinite(t1 @ t1 + t2 @ t2).all()
         if not finite:
             raise NumericError("products of the pair overflow")
-        scale = max(1.0, mat_norm(t1) * mat_norm(t2))
-        if mat_norm(commutator) > 1e-12 * scale:
+        norms = (mat_norm(t1), mat_norm(t2))
+        if mat_norm(commutator) > 1e-12 * max(1.0, norms[0] * norms[1]):
             raise InvalidArgumentError("matrices do not commute within tolerance")
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)
+        object.__setattr__(self, "_norms", norms)
 
     @property
     def dim(self):
@@ -116,7 +119,7 @@ def joint_pencil(pair, z):
 
 
 def _pair_scale(pair):
-    return max(1.0, mat_norm(pair.t1) ** 2 + mat_norm(pair.t2) ** 2)
+    return max(1.0, pair._norms[0] ** 2 + pair._norms[1] ** 2)
 
 
 def joint_resolvent_margin(pair, z):
@@ -152,45 +155,37 @@ def joint_spectrum_points(pair):
     """Joint eigenvalue pairs of a simultaneously diagonalizable pair.
 
     Diagonalizes a random combination ``T1 + mu T2``, reads both eigenvalues
-    off each shared eigenvector by Rayleigh quotients, and verifies the
-    residuals to 1e-8; a fresh ``mu`` is drawn on collisions, up to 8 draws
-    from a generator seeded with 7.  Returned points are deduplicated and
-    sorted, and each lies in the zero set of the joint resolvent margin.  A
+    off all shared eigenvectors at once by Rayleigh quotients, and verifies
+    the residuals to 1e-8; a fresh ``mu`` is drawn on collisions, up to 8
+    draws seeded with 7.  Returned points are sorted, each differs from all
+    others, and each lies in the zero set of the joint resolvent margin.  A
     successful result is kept on the pair, so later calls return a copy.
     """
     if pair._points:
         return list(pair._points)
     rng = np.random.default_rng(_JOINT_SEED)
-    t1, t2 = pair.t1, pair.t2
-    n = pair.dim
-    scale = max(1.0, mat_norm(t1), mat_norm(t2))
+    t = np.stack([pair.t1, pair.t2])
+    scale = max(1.0, *pair._norms)
     last_err = None
     for _ in range(_JOINT_DRAWS):
         mu = complex(rng.standard_normal(), rng.standard_normal())
         try:
-            _, vecs = np.linalg.eig(t1 + mu * t2)
+            _, vecs = np.linalg.eig(t[0] + mu * t[1])
         except np.linalg.LinAlgError as exc:
             last_err = str(exc)
             continue
-        points = []
-        ok = True
-        for k in range(n):
-            v = vecs[:, k]
-            nv = np.linalg.norm(v)
-            lam1 = complex(v.conj() @ (t1 @ v) / (nv * nv))
-            lam2 = complex(v.conj() @ (t2 @ v) / (nv * nv))
-            r1 = np.linalg.norm(t1 @ v - lam1 * v) / (scale * nv)
-            r2 = np.linalg.norm(t2 @ v - lam2 * v) / (scale * nv)
-            if max(r1, r2) > _JOINT_TOL:
-                ok = False
-                last_err = f"shared-eigenvector residual {max(r1, r2):.3e}"
-                break
-            points.append((lam1, lam2))
-        if not ok:
+        nv = np.linalg.norm(vecs, axis=0)
+        tv = t @ vecs
+        lam = (vecs.conj() * tv).sum(axis=1) / (nv * nv)
+        res = np.max(np.linalg.norm(tv - lam[:, None] * vecs, axis=1), axis=0) / (scale * nv)
+        bad = np.flatnonzero(res > _JOINT_TOL)
+        if bad.size:
+            last_err = f"shared-eigenvector residual {res[bad[0]]:.3e}"
             continue
         unique = []
+        points = zip(lam[0].tolist(), lam[1].tolist())
         for p in sorted(points, key=lambda w: (w[0].real, w[0].imag, w[1].real, w[1].imag)):
-            if not unique or abs(p[0] - unique[-1][0]) + abs(p[1] - unique[-1][1]) > 10 * _JOINT_TOL * scale:
+            if all(abs(p[0] - u[0]) + abs(p[1] - u[1]) > 10 * _JOINT_TOL * scale for u in unique):
                 unique.append(p)
         margins = joint_resolvent_margin(pair, np.array(unique).T)
         for p, m in zip(unique, margins):

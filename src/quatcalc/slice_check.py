@@ -85,6 +85,11 @@ def dbar_s(G, x, y, s, radius=_RADIUS):
     """
     S = s.matrix() if isinstance(s, Quaternion) else np.asarray(s, dtype=complex)
     _check_directions(S, "s must satisfy s*s = -I")
+    return _circle_rule(G, x, y, S, radius)
+
+
+def _circle_rule(G, x, y, S, radius):
+    """``dbar_s`` for direction matrices ``S`` already known to square to -I."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rounded = np.flatnonzero((x + radius == x) | (y + radius == y))
@@ -178,14 +183,14 @@ class SliceReport:
 def slice_regularity_report(G, grid, tol=1e-5):
     """Worst slice Cauchy-Riemann defect of ``G`` over a sample grid.
 
-    One ``dbar_s`` evaluation covers the grid; the defect at a point is the
-    2-norm of its operator value, an absolute measure, and the first
-    maximum is the worst point.
+    One ``dbar_s`` pass covers the grid, whose directions are checked once,
+    when it is built; the defect at a point is the 2-norm of its operator
+    value, an absolute measure, and the first maximum is the worst point.
     """
     if not grid.points:
         raise InvalidArgumentError("empty sample grid")
     defects = np.linalg.norm(
-        dbar_s(G, grid.x, grid.y, grid.direction_matrices, radius=grid.radius), 2, axis=(-2, -1)
+        _circle_rule(G, grid.x, grid.y, grid.direction_matrices, grid.radius), 2, axis=(-2, -1)
     )
     worst = int(np.argmax(defects))
     max_defect = float(defects[worst])

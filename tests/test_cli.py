@@ -1,5 +1,6 @@
 import copy
 import functools
+import inspect
 import json
 import operator
 import warnings
@@ -12,7 +13,12 @@ from hypothesis import strategies as st
 import quatcalc as qc
 from quatcalc import J, K, L, cli
 
-from conftest import exp_sin_derivative, quaternionic_operator, right_mult_matrix
+from conftest import (
+    exp_sin_derivative,
+    quaternionic_operator,
+    random_commuting_pair,
+    right_mult_matrix,
+)
 
 
 def run_cli(capsys, command, doc, *flags):
@@ -222,6 +228,56 @@ def test_joint_calc_computes_the_spectrum_once(capsys, monkeypatch):
     code, _ = run_cli(capsys, "joint-calc", doc, "--grid-res", "16")
     assert code == 0
     assert len(calls) == 1
+
+
+def _commuting_pair_doc(n, seed):
+    pair, _ = random_commuting_pair(np.random.default_rng(seed), n)
+    return {"matrix1": pair.t1.tolist(), "matrix2": pair.t2.tolist()}
+
+
+def _count_svd_and_eig(monkeypatch):
+    """Count ``svd`` and ``eig`` calls, with the SVDs behind spectral norms."""
+    counts = {"svd": 0, "eig": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    svd = counting("svd", np.linalg.svd)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", svd)
+    monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+    return counts
+
+
+@pytest.mark.parametrize(
+    "command, n, flags",
+    [("joint-spectrum", 4, ()), ("joint-spectrum", 16, ()), ("joint-calc", 4, ("--grid-res", "16"))],
+)
+def test_joint_jobs_make_five_svd_calls_at_any_size(capsys, monkeypatch, command, n, flags):
+    doc = dict(JOINT_DOC, **_commuting_pair_doc(n, seed=n))
+    counts = _count_svd_and_eig(monkeypatch)
+    code, out = run_cli(capsys, command, doc, *flags)
+    assert code == 0
+    if command == "joint-spectrum":
+        assert len(json.loads(out)["result"]["points"]) == n
+    assert counts["svd"] <= 5
+    assert counts["eig"] == 1
+
+
+def test_joint_spectrum_margins_equal_pointwise_margins(capsys):
+    doc = _commuting_pair_doc(4, seed=3)
+    code, out = run_cli(capsys, "joint-spectrum", doc)
+    assert code == 0
+    pair = qc.CommutingPair(np.array(doc["matrix1"]), np.array(doc["matrix2"]))
+    points = json.loads(out)["result"]["points"]
+    assert len(points) == 4
+    for p in points:
+        z = (as_complex(p["z1"]), as_complex(p["z2"]))
+        assert p["margin"] == qc.joint_resolvent_margin(pair, z)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,74 @@ def test_joint_points_complex_pair():
     assert vals == {(2.0, -1.0), (-2.0, 1.0)}
 
 
+def test_joint_points_drop_duplicates_that_sort_apart():
+    # the triple eigenvalue c of T1 leaves the sorted order of its three
+    # points to rounding, so the two equal points need not be neighbours
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        S = rng.standard_normal((3, 3))
+        c = rng.choice([0.3, 1.0, 7.0])
+        inv = np.linalg.inv(S)
+        pair = qc.CommutingPair(S @ np.diag([c, c, c]) @ inv, S @ np.diag([2.0, 2.0, 3.0]) @ inv)
+        pts = qc.joint_spectrum_points(pair)
+        assert len(pts) == 2
+        assert max(abs(p[0] - c) for p in pts) <= 1e-8
+        assert sorted(round(p[1].real, 6) for p in pts) == [2.0, 3.0]
+
+
+def _patched_eig(monkeypatch, replace):
+    """Patch ``np.linalg.eig`` to return ``replace(draw, a)``; returns the draws seen."""
+    draws = []
+
+    def eig(a):
+        draws.append(a)
+        return replace(len(draws), a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    return draws
+
+
+def test_joint_points_retry_after_a_failed_eig(rng, monkeypatch):
+    pair, (d1, d2) = random_commuting_pair(rng, 4)
+    eig = np.linalg.eig
+
+    def fail_first(draw, a):
+        if draw == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    draws = _patched_eig(monkeypatch, fail_first)
+    pts = qc.joint_spectrum_points(pair)
+    assert len(draws) == 2
+    want = sorted(zip(d1, d2), key=lambda w: (w[0].real, w[1].real))
+    got = sorted(pts, key=lambda w: (w[0].real, w[1].real))
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert abs(g[0] - w[0]) + abs(g[1] - w[1]) <= 1e-8
+
+
+def test_joint_points_name_the_residual_when_every_draw_misses(rng, monkeypatch):
+    pair, _ = random_commuting_pair(rng, 3)
+    # unit vectors are no shared eigenvectors of this pair: the residual of
+    # e_k is the off-diagonal part of each matrix's column k.  The smallest
+    # comes first, and the message names the first vector that misses.
+    scale = max(1.0, np.linalg.norm(pair.t1, 2), np.linalg.norm(pair.t2, 2))
+    off = [np.linalg.norm(t - np.diag(np.diag(t)), axis=0) for t in (pair.t1, pair.t2)]
+    residuals = np.maximum(*off) / scale
+    order = np.argsort(residuals)
+    vecs = np.eye(3, dtype=complex)[:, order]
+    draws = _patched_eig(monkeypatch, lambda draw, a: (np.diag(a), vecs))
+    residual = residuals[order[0]]
+    assert 1e-8 < residual < residuals[order[-1]]
+    with pytest.raises(qc.NumericError) as info:
+        qc.joint_spectrum_points(pair)
+    assert str(info.value) == (
+        f"could not separate joint eigenvalues: shared-eigenvector residual {residual:.3e}"
+    )
+    assert len(draws) == 8
+    assert pair._points == []
+
+
 # ---------------------------------------------------------------------------
 # surface calculus
 

@@ -6,7 +6,7 @@ import pytest
 
 import quatcalc as qc
 from quatcalc import I, J, K, L
-
+from quatcalc import slice_check
 from quatcalc.slice_check import _NODES
 
 from conftest import random_hpoly, random_quaternion
@@ -102,6 +102,24 @@ def test_report_passes_for_contour_values(rng, quadrature_nodes):
 def test_grid_validation():
     with pytest.raises(qc.InvalidArgumentError):
         qc.SliceSampleGrid([(0.0, 0.0, I)])
+
+
+def test_report_checks_directions_only_when_the_grid_is_built(monkeypatch):
+    checked = []
+    check = slice_check._check_directions
+
+    def counting_check(mats, message):
+        checked.append(len(mats))
+        check(mats, message)
+
+    monkeypatch.setattr(slice_check, "_check_directions", counting_check)
+    grid = qc.SliceSampleGrid.random(DISK2, 24, 3, seed=1)
+    assert checked == [3]
+    G = qc.quaternionwise(lambda q: q.star())
+    assert qc.slice_regularity_report(G, grid).max_defect == pytest.approx(1.0, abs=1e-12)
+    assert checked == [3]
+    qc.dbar_s(G, grid.x, grid.y, grid.direction_matrices)
+    assert checked == [3, 24]
 
 
 def test_radius_that_rounds_away_rejected():
