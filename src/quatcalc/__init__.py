@@ -84,7 +84,6 @@ from .slice_check import (
     extend_from_slice,
     quaternionwise,
     slice_regularity_report,
-    spectral_evaluator,
     split_slice,
 )
 from .real_op import (

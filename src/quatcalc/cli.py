@@ -13,7 +13,8 @@ document, a number field that is not a finite JSON number of the right kind
 -- booleans and strings are not numbers --, a document nested too deep to
 decode, a scalar function nested deeper than 64, a domain with no disk, a
 ``deriv`` order above 170, a ``slice-check`` ``grid.points`` or
-``grid.directions`` above 10,000 or a negative ``grid.seed``, a ``mult-op``
+``grid.directions`` above 10,000 or a negative ``grid.seed``, an
+``op-spectrum`` or ``op-calc`` matrix larger than 64 x 64, a ``mult-op``
 of more than 256 quaternions, a ``joint-*`` pair larger than 32 x 32, a
 ``joint-calc`` of an n x n pair at ``--grid-res`` r with ``n^2 r^3`` above
 ``32^2 48^3``, a ``slice-check`` circle that rounds away at a sample point,
@@ -37,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -83,7 +85,6 @@ from . import (
     martinelli_calculus,
     op_calculus,
     slice_regularity_report,
-    spectral_evaluator,
     spectrum,
     verify_stem,
     zero_set_contains,
@@ -97,8 +98,11 @@ _MAX_DERIV_ORDER = 170
 _MAX_GRID_RES = 256
 
 #: Largest ``slice-check`` ``grid.points`` and ``grid.directions``; an ``exp``
-#: stem on 10,000 points takes about 0.6 s per process (2 vCPUs).
+#: stem on 10,000 points takes about 0.3 s per process (2 vCPUs).
 _MAX_SLICE_POINTS = 10_000
+
+#: Largest side of an ``op-spectrum`` or ``op-calc`` matrix.
+_MAX_OP_DIM = 64
 
 #: Most quaternions in ``mult-op``; its dense real matrix has side 4 times
 #: the count (256 quaternions: 0.7 s).
@@ -186,10 +190,12 @@ def _number_in(doc, integral=False):
     return int(doc)
 
 
-def _real_matrix_in(doc):
+def _real_matrix_in(doc, max_dim=math.inf):
     m = np.array([[_number_in(v) for v in row] for row in doc], dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParseError("matrix must be square")
+    if len(m) > max_dim:
+        raise ParseError(f"the matrix is at most {max_dim} x {max_dim}")
     return m
 
 
@@ -252,10 +258,7 @@ def _domain_in(doc):
 
 
 def _pair_in(doc):
-    t1, t2 = _real_matrix_in(doc["matrix1"]), _real_matrix_in(doc["matrix2"])
-    if max(len(t1), len(t2)) > _MAX_PAIR_DIM:
-        raise ParseError(f"pair matrices are at most {_MAX_PAIR_DIM} x {_MAX_PAIR_DIM}")
-    return CommutingPair(t1, t2)
+    return CommutingPair(*(_real_matrix_in(doc[k], _MAX_PAIR_DIM) for k in ("matrix1", "matrix2")))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +349,7 @@ def _run_slice_check(doc, args):
                 # q -> q* is the conjugate transpose of the matrix view
                 return np.conj(np.swapaxes(Q, -1, -2))
         else:
-            G = spectral_evaluator(_kind_in(fdoc, _STEM_KINDS, None))
+            G = functools.partial(eval_spectral, _kind_in(fdoc, _STEM_KINDS, None))
         domain = _domain_in(grid_doc.get("domain")) or SymmetricDomain.disk(0.0, 2.0)
         seed = _number_in(grid_doc.get("seed", 0), integral=True)
         if seed < 0:
@@ -378,7 +381,7 @@ def _run_zeros(doc, args):
 
 def _run_op_spectrum(doc, args):
     with _reading():
-        T = _real_matrix_in(doc["matrix"])
+        T = _real_matrix_in(doc["matrix"], _MAX_OP_DIM)
     report = complex_spectrum(T)
     return {
         "eigenvalues": [_c_out(v) for v in report.eigenvalues],
@@ -388,7 +391,7 @@ def _run_op_spectrum(doc, args):
 
 def _run_op_calc(doc, args):
     with _reading():
-        T = _real_matrix_in(doc["matrix"])
+        T = _real_matrix_in(doc["matrix"], _MAX_OP_DIM)
         F = _kind_in(doc["function"], _OPERATOR_KINDS, len(T))
     value, diag, flat_defect = op_calculus(F, T, args.tol)
     return {
@@ -403,7 +406,7 @@ def _run_mult_op(doc, args):
             raise ParseError(f"mult-op takes at most {_MAX_MULT_OP_QUATERNIONS} quaternions")
         quats = [_quat_in(c) for c in doc["quaternions"]]
     T = discrete_mult_op(quats)
-    report = complex_spectrum(T, cap=max(64, T.shape[0]))
+    report = complex_spectrum(T)
     return {
         "dimension": T.shape[0],
         "eigenvalue_pairs": [{"multiplicity": m, "value": _c_out(v)} for v, m in report.pairs],

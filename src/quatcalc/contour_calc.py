@@ -4,7 +4,8 @@ The Cauchy-integral route ``(k!/2 pi i) * integral of F(z) (zI - q)^-(k+1) dz``
 to the k-th derivative is discretized by the trapezoid rule on positively
 oriented circles, spectrally accurate for analytic integrands on closed
 curves.  The kernel takes the closed spectral form ``(z - s+)^-(k+1) E+ +
-(z - s-)^-(k+1) E-``, so only values of ``F`` are needed.
+(z - s-)^-(k+1) E-``, so only values of ``F`` are needed, and each term
+combines elementwise (``quat_core._combine``), with no matrix product.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     NumericError,
 )
 from .func_model import spectral_jet
-from .quat_core import Quaternion, spectral_projections, spectrum
+from .quat_core import Quaternion, _combine, _split
 
 _IDENT2 = np.eye(2, dtype=complex)
 
@@ -259,10 +260,10 @@ def cauchy_transform(F, q, gamma, tol=1e-10, order=0):
         raise InvalidArgumentError("cauchy_transform expects a Quaternion")
     if order < 0:
         raise InvalidArgumentError("derivative order must be >= 0")
-    sp = spectrum(q)
-    _check_enclosed((sp.s_plus, sp.s_minus), gamma.circles)
+    x, t, a, b = _split(q)
+    s = np.array([[x + 1j * t], [x - 1j * t]])  # s+- as a column
+    _check_enclosed(s.ravel(), gamma.circles)
     _check_contour_in_domain(F, gamma)
-    e_plus, e_minus = spectral_projections(q)
     # k! spread over the k + 1 factors, so that neither k! nor the power overflows alone
     spread = math.exp(math.lgamma(order + 1) / (order + 1))
 
@@ -275,11 +276,8 @@ def cauchy_transform(F, q, gamma, tol=1e-10, order=0):
         w = radii * np.exp(2j * np.pi * (np.arange(nodes) + offset) / nodes)
         z, dz = (centers + w).ravel(), w.ravel()
         values = F(z)
-        kernel = (
-            ((spread / (z - sp.s_plus)) ** (order + 1))[:, None, None] * e_plus
-            + ((spread / (z - sp.s_minus)) ** (order + 1))[:, None, None] * e_minus
-        )
-        terms = (values @ kernel) * dz[:, None, None]
+        kernel = (spread / (z - s)) ** (order + 1)  # the scalar powers k+- at every node
+        terms = _combine(*(values * (kernel * dz)[..., None, None]), a, b)
         level = _class_levels(levels)
         totals = _compensated_sum(terms.reshape(-1, level.size, 2, 2))
         if not np.isfinite(totals).all() and np.isfinite(values).all():

@@ -6,7 +6,7 @@ that the conjugation symmetry ``f(conj z) == conj(f(z))`` is decidable
 structurally.  Each evaluates through its jet, the derivatives ``f, ...,
 f^(k)`` at a point (a callback's has order 0).  Matrix-valued functions on
 them support the stem condition ``F(conj z) == skew_conjugate(F(z))`` and
-the spectral calculus ``F(q) = F(s+)E+ + F(s-)E-``.
+the spectral calculus ``F(q) = F(s+)E+ + F(s-)E-``, at stacks alike.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from .errors import (
 )
 from .quat_core import (
     Quaternion,
+    _combine,
+    _norm_2x2,
+    _split,
     skew_conjugate,
-    spectral_projections,
-    spectrum,
 )
 
 _IDENT2 = np.eye(2, dtype=complex)
@@ -473,7 +474,7 @@ def verify_stem(F, samples=None, tol=1e-10):
         raise InvalidArgumentError("empty sample set")
     z = np.asarray(samples, dtype=complex)
     defect_mats = F(z.conjugate()) - skew_conjugate(F(z))
-    defects = np.linalg.norm(defect_mats, ord=2, axis=(-2, -1))
+    defects = _norm_2x2(defect_mats)
     worst = int(np.argmax(defects))
     max_defect = float(defects[worst])
     return StemReport(max_defect <= tol, max_defect, samples[worst])
@@ -506,26 +507,28 @@ def stem_split(F):
 # spectral functional calculus
 
 
-def _check_spectrum_in_domain(F, q):
-    if F.domain is not None:
-        sp = spectrum(q)
-        if not (F.domain.contains(sp.s_plus) and F.domain.contains(sp.s_minus)):
-            raise DomainError("spectrum of q is outside the function domain")
+def _spectrum_in_domain(F, q):
+    """``s+-`` stacked on a new first axis, and ``a, b`` of ``quat_core._split``."""
+    x, t, a, b = _split(q)
+    s = x + np.multiply.outer([1j, -1j], t)
+    if F.domain is not None and not np.all(F.domain.contains(s)):
+        raise DomainError("spectrum of q is outside the function domain")
+    return s, a, b
 
 
 def spectral_jet(F, q, k):
     """Closed-form derivatives ``F^(j)(q) = F^(j)(s+)E+ + F^(j)(s-)E-`` for
-    ``j = 0..k``, stacked on a new first axis, from the jets of ``F`` at ``s+-``."""
-    _check_spectrum_in_domain(F, q)
-    sp = spectrum(q)
-    e_plus, e_minus = spectral_projections(q)
-    jets = F.jet(np.array([sp.s_plus, sp.s_minus]), k)
-    return jets[:, 0] @ e_plus + jets[:, 1] @ e_minus
+    ``j = 0..k``, stacked on a new first axis, from one jet of ``F`` at ``s+-``.
+    ``q`` is a Quaternion or a stack of matrix views (..., 2, 2); the result
+    has shape ``(k + 1,)`` plus its shape."""
+    s, a, b = _spectrum_in_domain(F, q)
+    jets = F.jet(s, k)
+    return _combine(jets[:, 0], jets[:, 1], a, b)
 
 
 def eval_spectral(F, q, order=0):
     """Closed-form calculus ``F^(order)(q) = F^(order)(s+)E+ + F^(order)(s-)E-``
-    on the spectrum of q.
+    on the spectrum of q, a Quaternion or a stack of matrix views (..., 2, 2).
 
     The result is a quaternion (to roundoff) exactly when ``F`` is a stem
     function; for other matrix functions it is a general 2x2 matrix.
@@ -550,8 +553,5 @@ def zero_set_contains(F, q, tol=1e-12):
     Equivalent (up to the projection norms, which are one) to the vanishing
     of the spectral calculus value at ``q``.
     """
-    _check_spectrum_in_domain(F, q)
-    sp = spectrum(q)
-    v_plus = np.max(np.abs(F(sp.s_plus)))
-    v_minus = np.max(np.abs(F(sp.s_minus)))
-    return bool(v_plus <= tol and v_minus <= tol)
+    s, _, _ = _spectrum_in_domain(F, q)
+    return bool(np.max(np.abs(F(s))) <= tol)

@@ -3,7 +3,8 @@
 A quaternion is stored by its C^2 coordinates ``(z1, z2)``; the matrix view
 ``[[z1, z2], [-conj(z2), conj(z1)]]`` is derived on demand, so membership in
 the quaternion subalgebra holds by construction.  All values are immutable
-and all operations are pure.
+and all operations are pure.  The calculi read one split ``q = x + t S``
+(``_split``) of a quaternion or a stack of matrix views, and ``_combine``.
 """
 
 from __future__ import annotations
@@ -192,6 +193,18 @@ def mat_norm(a):
     return float(np.linalg.norm(np.asarray(a), 2))
 
 
+def _norm_2x2(m):
+    """Spectral norm of each matrix of a stack (..., 2, 2): the root of the larger
+    eigenvalue of ``m^H m = [[p, c], [conj c, r]]``, with no square overflowing
+    as each matrix is first divided by its largest entry.  Unlike the form in
+    ``|det m|``, it keeps every digit when the singular values are close."""
+    scale = np.abs(m).max(axis=(-2, -1), keepdims=True)
+    u = m / np.where(scale > 0.0, scale, 1.0)
+    p, r = np.moveaxis((u.real**2 + u.imag**2).sum(axis=-2), -1, 0)
+    c = (u[..., :, 0].conj() * u[..., :, 1]).sum(axis=-1)
+    return scale[..., 0, 0] * np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(c)))
+
+
 def split_h_ih(a):
     """Split a 2x2 matrix as ``b + i*c`` with quaternion parts ``b`` and ``c``."""
     a = np.asarray(a, dtype=complex)
@@ -285,6 +298,37 @@ def spectral_projections(q):
     return e_plus, e_minus
 
 
+def _split(q):
+    """``x``, ``t = |Im q|`` and the first row ``(a, b)`` of ``S = [[a, b], [-conj b,
+    conj a]]`` in ``q = x + t S``, for a Quaternion or a stack of matrix views
+    (..., 2, 2), whose first rows are read.  The spectrum is ``x +/- i t``.
+    Coordinates count as zero as in ``spectrum``; where ``t = 0``, ``S = J``."""
+    Q = q.matrix() if isinstance(q, Quaternion) else np.asarray(q, dtype=complex)
+    if Q.shape[-2:] != (2, 2):
+        raise InvalidArgumentError("expected a Quaternion or a (..., 2, 2) stack of matrix views")
+    z1, z2 = Q[..., 0, 0], Q[..., 0, 1]
+    y, r = z1.imag, np.abs(z2)
+    eps = DEGENERATE_REL_TOL * np.maximum(1.0, np.hypot(np.abs(z1), r))
+    # masks multiply, as np.where costs several times more on one quaternion
+    keep = r > eps
+    y = y * (keep | (np.abs(y) > eps))
+    t = np.hypot(y, r * keep)
+    real = t == 0.0
+    inv = 1.0 / (t + real)
+    return z1.real, t, 1j * ((y + real) * inv), z2 * keep * inv
+
+
+def _combine(plus, minus, a, b):
+    """``A+ E+ + A- E-`` with ``E+/- = (I -/+ i S)/2`` for a split's ``a, b``, as
+    ``(A+ + A-)/2 + D S`` with ``D = -(i/2)(A+ - A-)``, elementwise on stacks."""
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    d = -0.5j * (plus - minus)
+    out = 0.5 * (plus + minus)
+    out[..., 0] += d[..., 0] * a - d[..., 1] * b.conj()
+    out[..., 1] += d[..., 0] * b + d[..., 1] * a.conj()
+    return out
+
+
 def quaternions_with_spectrum(zeta, u):
     """A quaternion with spectrum ``{zeta, conj(zeta)}``, parametrized by ``u``.
 
@@ -318,12 +362,8 @@ def axial_decompose(q):
     """
     if not isinstance(q, Quaternion):
         raise InvalidArgumentError("axial_decompose expects a Quaternion")
-    x = q.z1.real
-    y = math.hypot(q.z1.imag, abs(q.z2))
-    if y <= DEGENERATE_REL_TOL * max(1.0, q.norm()):
-        return AxialForm(x, 0.0, J)
-    s = Quaternion(complex(0.0, q.z1.imag / y), q.z2 / y)
-    return AxialForm(x, y, s)
+    x, t, a, b = _split(q)
+    return AxialForm(float(x), float(t), Quaternion(a, b))
 
 
 def random_unit_imaginary(rng):

@@ -30,8 +30,6 @@ from .errors import (
 from .func_model import AnalyticScalar, Polynomial
 from .quat_core import Quaternion, left_mult_matrix, mat_norm, spectrum
 
-_DEFAULT_EIG_CAP = 64
-
 #: Conjugate-pairing (``complex_spectrum``) and flat-invariance (``op_calculus``)
 #: tolerances, relative to the spectral radius and to the value's norm.
 _PAIR_REL_TOL = 1e-8
@@ -149,15 +147,13 @@ def _conjugate_pairs(eigs, tol):
     return tuple(out)
 
 
-def complex_spectrum(T, cap=_DEFAULT_EIG_CAP):
+def complex_spectrum(T):
     """Eigenvalues of the complexified operator, conjugate-paired.
 
     The spectrum is conjugate symmetric for real input; pairing failures
     beyond 1e-8 (relative to the spectral radius) raise NumericError.
     """
     T = as_real_operator(T)
-    if T.shape[0] > cap:
-        raise InvalidArgumentError(f"dimension {T.shape[0]} exceeds the cap {cap}")
     try:
         eigs = np.linalg.eigvals(T)
     except np.linalg.LinAlgError as exc:

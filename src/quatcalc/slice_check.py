@@ -9,9 +9,11 @@ rebuilds the stem.
 
 The maps ``G`` under test act on stacks: they take quaternion matrix views
 of shape (..., 2, 2) and return values of the same shape.  A check
-evaluates ``G`` once on the circle nodes of its whole sample grid;
-``quaternionwise`` lifts a map on single quaternions to this contract.
-A non-finite result raises NumericError.
+evaluates ``G`` once on the circle nodes of its whole sample grid.
+``eval_spectral`` takes stacks as they are, so ``functools.partial(
+eval_spectral, F)`` is the spectral calculus of ``F`` in this form;
+``quaternionwise`` lifts a map on single quaternions to it.  A non-finite
+result raises NumericError.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError, InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError
 from .func_model import QuaternionPolynomial
 from .quat_core import (
-    DEGENERATE_REL_TOL,
     I,
     J,
     L,
     Quaternion,
+    _norm_2x2,
     as_quaternion,
     axial_decompose,
     random_unit_imaginary,
@@ -185,13 +187,12 @@ def slice_regularity_report(G, grid, tol=1e-5):
 
     One ``dbar_s`` pass covers the grid, whose directions are checked once,
     when it is built; the defect at a point is the 2-norm of its operator
-    value, an absolute measure, and the first maximum is the worst point.
+    value (in closed form, ``quat_core._norm_2x2``), an absolute measure,
+    and the first maximum is the worst point.
     """
     if not grid.points:
         raise InvalidArgumentError("empty sample grid")
-    defects = np.linalg.norm(
-        _circle_rule(G, grid.x, grid.y, grid.direction_matrices, grid.radius), 2, axis=(-2, -1)
-    )
+    defects = _norm_2x2(_circle_rule(G, grid.x, grid.y, grid.direction_matrices, grid.radius))
     worst = int(np.argmax(defects))
     max_defect = float(defects[worst])
     return SliceReport(max_defect, max_defect <= tol, grid.points[worst])
@@ -277,41 +278,3 @@ def extend_from_slice(f, center=0.0, radius=1.0, degree=16):
         for gc, hc in zip(g_coeffs, h_coeffs)
     ]
     return QuaternionPolynomial(quat_coeffs)
-
-
-def spectral_evaluator(F):
-    """Stacked map ``Q -> F(Q)`` through the closed-form spectral calculus.
-
-    For quaternion matrix views ``Q`` of shape (..., 2, 2), with
-    ``x = Re(z1)`` and ``t = |Im q|``, returns ``F(s+)E+ + F(s-)E-`` with
-    ``s+- = x +- it`` and ``E+- = (I -+ i S)/2``, as
-    ``(F(s+) + F(s-))/2 - (i/2) (F(s+) - F(s-)) S``, where
-    ``S = (Q - x I)/t = [[a, b], [-conj b, conj a]]`` (0 where ``t = 0``)
-    multiplies elementwise.  Only components are divided by ``t``.  Coordinates below ``DEGENERATE_REL_TOL`` times ``max(1, |q|)``
-    count as zero, as in ``spectrum``.  Raises DomainError when some ``s+-``
-    leaves ``F.domain``.  ``eval_spectral`` is the single-quaternion form.
-    """
-
-    def G(Q):
-        Q = np.asarray(Q, dtype=complex)
-        z1, z2 = Q[..., 0, 0], Q[..., 0, 1]
-        # the coordinates that spectrum() treats as exactly zero
-        eps = DEGENERATE_REL_TOL * np.maximum(1.0, np.hypot(np.abs(z1), np.abs(z2)))
-        flat = np.abs(z2) <= eps
-        z2 = np.where(flat, 0.0, z2)
-        y = np.where(flat & (np.abs(z1.imag) <= eps), 0.0, z1.imag)
-        t = np.hypot(y, np.abs(z2))
-        s = np.stack([z1.real + 1j * t, z1.real - 1j * t])
-        if F.domain is not None and not np.all(F.domain.contains(s)):
-            raise DomainError("spectrum of q is outside the function domain")
-        safe_t = np.where(t > 0.0, t, 1.0)
-        a = (1j * y / safe_t)[..., None]
-        b = (z2 / safe_t)[..., None]
-        plus, minus = F(s)
-        d = -0.5j * (plus - minus)
-        out = 0.5 * (plus + minus)
-        out[..., 0] += d[..., 0] * a - d[..., 1] * b.conj()
-        out[..., 1] += d[..., 0] * b + d[..., 1] * a.conj()
-        return out
-
-    return G

@@ -7,6 +7,7 @@ criteria complete.  Tolerances are fixed here, not configurable.
 import math
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -270,12 +271,13 @@ def test_criterion_08_slice_regularity():
         domain = qc.SymmetricDomain.disk(0.0, 1.5)
         grid = qc.SliceSampleGrid.random(domain, 1000, 10, seed=88)
         functions = [
-            qc.spectral_evaluator(random_hpoly(rng, 3, scale=0.7)),
-            qc.spectral_evaluator(random_hpoly(rng, 5, scale=0.5)),
-            qc.spectral_evaluator(qc.ScalarStem(qc.Exp())),
-            qc.spectral_evaluator(qc.ScalarStem(qc.Sin())),
-            qc.spectral_evaluator(
-                qc.PairStem(qc.Polynomial([0.4, 1j, 1.0]), qc.Polynomial([0.2, -0.5j]))
+            partial(qc.eval_spectral, random_hpoly(rng, 3, scale=0.7)),
+            partial(qc.eval_spectral, random_hpoly(rng, 5, scale=0.5)),
+            partial(qc.eval_spectral, qc.ScalarStem(qc.Exp())),
+            partial(qc.eval_spectral, qc.ScalarStem(qc.Sin())),
+            partial(
+                qc.eval_spectral,
+                qc.PairStem(qc.Polynomial([0.4, 1j, 1.0]), qc.Polynomial([0.2, -0.5j])),
             ),
         ]
         assert len(grid.points) == 1000

@@ -84,6 +84,49 @@ def test_eval_spectral_method(capsys):
     assert as_complex(value[1][0]) == pytest.approx(1j, abs=1e-12)
 
 
+def test_eval_emit_samples_lists_the_contour(capsys):
+    doc = {"function": {"kind": "scalar", "f": {"kind": "exp"}}, "quaternion": [0.5, 1, 0, 0]}
+    code, out = run_cli(capsys, "eval", doc, "--emit-samples", "--margin", "0.5")
+    assert code == 0
+    result = json.loads(out)["result"]
+    # one circle of radius 0.5 about each of s+- = 0.5 +- i
+    assert result["samples"] == {"circles": [
+        {"center": {"im": 1.0, "re": 0.5}, "radius": 0.5},
+        {"center": {"im": -1.0, "re": 0.5}, "radius": 0.5},
+    ]}
+    value = np.array([[as_complex(v) for v in row] for row in result["value"]])
+    want = np.exp(0.5) * (np.cos(1.0) * np.eye(2) + np.sin(1.0) * np.diag([1j, -1j]))
+    np.testing.assert_allclose(value, want, rtol=1e-10)
+
+    code, out = run_cli(capsys, "eval", dict(doc, method="spectral"), "--emit-samples")
+    assert code == 0
+    assert "samples" not in json.loads(out)["result"]
+
+
+def test_stem_check_emit_samples(capsys):
+    # no samples given: two circles, of radius 0.35 R and 0.7 R, about each
+    # disk of the domain, the non-real center's mirror included
+    doc = {"function": {"kind": "scalar", "f": {"kind": "exp"}},
+           "domain": [{"center": {"re": 1.0, "im": 0.5}, "radius": 2.0}]}
+    code, out = run_cli(capsys, "stem-check", doc, "--emit-samples")
+    assert code == 0
+    result = json.loads(out)["result"]
+    samples = [as_complex(z) for z in result["samples"]]
+    assert len(samples) == 128
+    assert samples[1::2] == [z.conjugate() for z in samples[::2]]
+    circles = np.array(samples[::2]).reshape(4, 16)  # 16 pairs per circle, in order
+    centers = np.array([1.0 + 0.5j, 1.0 + 0.5j, 1.0 - 0.5j, 1.0 - 0.5j])[:, None]
+    radii = np.array([0.7, 1.4, 0.7, 1.4])[:, None]
+    np.testing.assert_allclose(np.abs(circles - centers), np.repeat(radii, 16, axis=1), rtol=1e-14)
+    assert result["passed"] is True and result["max_defect"] <= 1e-13
+    assert as_complex(result["witness"]) in samples
+
+    given = [{"im": 0.5, "re": 0.25}, {"im": -0.5, "re": 0.25}]
+    code, out = run_cli(capsys, "stem-check", dict(doc, samples=given), "--emit-samples")
+    assert code == 0
+    assert json.loads(out)["result"]["samples"] == given
+
+
 def test_deriv_of_square(capsys):
     doc = {
         "function": {"kind": "scalar", "f": {"kind": "poly", "coeffs": [

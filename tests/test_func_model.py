@@ -349,6 +349,28 @@ def test_module_multiplicativity(rng):
         np.testing.assert_allclose(left, right, atol=1e-10 * max(1, np.linalg.norm(left)))
 
 
+def test_stem_scalar_mul_of_scalar_and_entrywise_functions():
+    z = np.array([0.3 + 0.4j, -1.2 + 0.1j, 2.0])
+    sin = np.sin(z)[:, None, None]
+    F = qc.stem_scalar_mul(qc.ScalarStem(qc.Exp()), qc.Sin())
+    assert isinstance(F, qc.ScalarStem)
+    np.testing.assert_allclose(F(z), np.exp(z)[:, None, None] * sin * np.eye(2), rtol=1e-15)
+
+    domain = qc.SymmetricDomain.disk(0.0, 3.0)
+    entries = [[qc.Exp(), qc.Polynomial([1.0, 2j])], [qc.Cos(), qc.Polynomial([0.5])]]
+    E = qc.stem_scalar_mul(qc.EntrywiseFunction(entries, domain=domain), qc.Sin())
+    assert isinstance(E, qc.EntrywiseFunction) and E.domain is domain
+    want = np.array([[np.exp(z), 1.0 + 2j * z], [np.cos(z), np.full(3, 0.5)]])
+    np.testing.assert_allclose(E(z), np.moveaxis(want, -1, 0) * sin, rtol=1e-15)
+
+
+def test_stem_scalar_mul_rejects_asymmetric_factor_and_other_functions():
+    with pytest.raises(qc.ContractViolationError):
+        qc.stem_scalar_mul(qc.ScalarStem(qc.Exp()), qc.Polynomial([1j, 1.0]))
+    with pytest.raises(qc.InvalidArgumentError):
+        qc.stem_scalar_mul(qc.CallableMatrixFunction(lambda z: np.eye(2)), qc.Exp())
+
+
 def test_zero_free_inverse(rng):
     f = qc.Sum(qc.Product(qc.Polynomial([0, 1]), qc.Polynomial([0, 1])), qc.Polynomial([4.0]))
     # f = z^2 + 4, zero-free on spectra with |Im| != 2

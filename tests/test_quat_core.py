@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import quatcalc as qc
-from quatcalc import I, J, K, L
+from quatcalc import I, J, K, L, quat_core
 
 from conftest import random_quaternion
 
@@ -308,6 +308,27 @@ def test_axial_decompose_reconstruction(rng):
         np.testing.assert_allclose((ax.s * ax.s).matrix(), -np.eye(2), atol=1e-12)
         sp = qc.spectrum(q)
         assert abs(sp.s_plus - complex(ax.x, ax.y)) <= 1e-12 * max(1.0, q.norm())
+
+
+def test_split_spectrum_equals_spectrum_across_the_degenerate_band(rng):
+    # imaginary coordinates from 1e-17 to 1e-11 about the threshold
+    # 1e-14 * max(1, |q|), some zeroed, on a stack and one quaternion at a
+    # time: x is exact, t within one rounding of spectrum's (np.hypot against
+    # math.hypot) and zero exactly where spectrum's is
+    zeroed = ([], [2, 3], [1, 2, 3], [1])
+    qs = []
+    for k in range(600):
+        x = rng.standard_normal(4) * 10.0 ** rng.uniform(-1.0, 1.0)
+        x[1:] *= 10.0 ** rng.uniform(-17.0, -11.0, 3)
+        x[zeroed[k % 4]] = 0.0
+        qs.append(qc.make_quaternion(*x))
+    xs, ts, _, _ = quat_core._split(np.array([q.matrix() for q in qs]))
+    for q, x, t in zip(qs, xs, ts):
+        sp = qc.spectrum(q)
+        assert x == sp.s_plus.real == sp.s_minus.real
+        assert sp.s_minus.imag == -sp.s_plus.imag
+        np.testing.assert_allclose(t, sp.s_plus.imag, rtol=3e-16, atol=0.0)
+        assert quat_core._split(q)[:2] == (x, t)
 
 
 def test_left_mult_matrix_action(rng):

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import quatcalc as qc
-from quatcalc import I, J, K
+from quatcalc import I, J, K, cli
 
 from conftest import random_quaternion
 
@@ -154,10 +156,20 @@ def test_complex_spectrum_margin_cross_check(rng):
         assert qc.q_resolvent_margin(T, qc.Quaternion(far, 0)) > 1e-6
 
 
-def test_complex_spectrum_cap():
-    with pytest.raises(qc.InvalidArgumentError):
-        qc.complex_spectrum(np.eye(65))
-    qc.complex_spectrum(np.eye(65), cap=65)
+def test_complex_spectrum_cap(tmp_path, capsys):
+    # the library takes any size; the CLI reads op-spectrum and op-calc
+    # matrices of side at most 64
+    assert qc.complex_spectrum(np.eye(65)).pairs == ((1.0, 65),)
+    path = tmp_path / "doc.json"
+    op_calc = {"function": {"kind": "op-scalar", "f": {"kind": "exp"}}}
+    for command, extra in (("op-spectrum", {}), ("op-calc", op_calc)):
+        for side, code in ((64, 0), (65, 1)):
+            path.write_text(json.dumps({"matrix": np.eye(side).tolist(), **extra}))
+            assert cli.run([command, "--input", str(path)]) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert out == "" and len(err.splitlines()) == 1, err
+                assert "at most 64 x 64" in err
 
 
 # ---------------------------------------------------------------------------

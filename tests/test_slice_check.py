@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def test_circle_rule_is_exact_disk_mean(rng):
 
 def test_report_passes_for_stem_values(rng):
     F = random_hpoly(rng, 4, scale=0.5)
-    G = qc.spectral_evaluator(F)
+    G = partial(qc.eval_spectral, F)
     grid = qc.SliceSampleGrid.random(DISK2, 60, 5, seed=3)
     report = qc.slice_regularity_report(G, grid, tol=1e-5)
     assert report.passed, report.max_defect
@@ -174,7 +175,7 @@ def sequential_grid_reference(domain, n_points, n_directions, seed=0):
 
 
 def _stem_case(F):
-    return qc.spectral_evaluator(F), lambda q: qc.eval_spectral(F, q)
+    return partial(qc.eval_spectral, F), lambda q: qc.eval_spectral(F, q)
 
 
 ZETA0 = 4.0 + 0.5j  # outside the slice disk of radius 2
@@ -219,7 +220,14 @@ def test_batched_report_matches_per_point_reference(rng, case):
             assert report.passed, report.max_defect
 
 
-def test_spectral_evaluator_matches_eval_spectral(rng):
+def _projection_reference(F, q):
+    # F(s+)E+ + F(s-)E- from the eigenvectors of spectrum()
+    sp = qc.spectrum(q)
+    e_plus, e_minus = qc.spectral_projections(q)
+    return F(sp.s_plus) @ e_plus + F(sp.s_minus) @ e_minus
+
+
+def test_stacked_eval_spectral_matches_projection_reference(rng):
     stems = [
         random_hpoly(rng, 4),
         qc.ScalarStem(qc.Exp()),
@@ -239,24 +247,24 @@ def test_spectral_evaluator_matches_eval_spectral(rng):
     qs += [qc.make_quaternion(0.7, 0.0, 0.0, 0.0), J, K * -2.0, I * 0.0]
     stack = np.array([q.matrix() for q in qs])
     for F in stems:
-        got = qc.spectral_evaluator(F)(stack)
+        got = qc.eval_spectral(F, stack)
         assert got.shape == stack.shape
         for q, value in zip(qs, got):
-            want = qc.eval_spectral(F, q)
+            want = _projection_reference(F, q)
             assert np.linalg.norm(value - want) <= 1e-14 * np.linalg.norm(want)
-        np.testing.assert_array_equal(qc.spectral_evaluator(F)(stack[0]), got[0])
+            assert np.linalg.norm(qc.eval_spectral(F, q) - want) <= 1e-14 * np.linalg.norm(want)
+        np.testing.assert_array_equal(qc.eval_spectral(F, stack[0]), got[0])
 
 
-def test_spectral_evaluator_domain_error():
+def test_stacked_eval_spectral_domain_error():
     F = qc.ScalarStem(qc.Exp(), domain=qc.SymmetricDomain.disk(0.0, 1.0))
-    G = qc.spectral_evaluator(F)
     inside = (J * 0.5).matrix()
-    G(inside)
+    qc.eval_spectral(F, inside)
     for q in (J * 1.5, I * 1.2):
         with pytest.raises(qc.DomainError):
             qc.eval_spectral(F, q)
         with pytest.raises(qc.DomainError):
-            G(np.array([inside, q.matrix()]))
+            qc.eval_spectral(F, np.array([inside, q.matrix()]))
 
 
 @pytest.mark.parametrize(
@@ -283,7 +291,7 @@ def test_multi_disk_grid_keeps_stencils_inside():
 
 
 def test_non_finite_stencil_value_raises():
-    G = qc.spectral_evaluator(qc.ScalarStem(qc.Exp()))
+    G = partial(qc.eval_spectral, qc.ScalarStem(qc.Exp()))
     with pytest.raises(qc.NumericError), np.errstate(over="ignore", invalid="ignore"):
         qc.dbar_s(G, [0.0, 800.0], [0.0, 1.0], J)
 
@@ -363,6 +371,14 @@ def test_circularization_spectral_equals_axial(rng):
             [(complex(rng.standard_normal(), rng.standard_normal()), rng.uniform(0.3, 2.0))]
         )
         assert qc.circularization_contains(dom, q) == qc.circularization_contains_axial(dom, q)
+
+
+def test_circularization_criteria_agree_near_the_real_axis():
+    # both coordinates below the degenerate threshold 1e-14, their hypot above it
+    q = qc.Quaternion(1.0 + 0.8e-14j, 0.8e-14)
+    dom = qc.SymmetricDomain.disk(1.0, 1e-14)
+    assert qc.circularization_contains(dom, q)
+    assert qc.circularization_contains_axial(dom, q)
 
 
 # ---------------------------------------------------------------------------
