@@ -18,8 +18,9 @@ decode, a scalar function nested deeper than 64, a domain with no disk, a
 of more than 256 quaternions, a ``joint-*`` pair larger than 32 x 32, a
 ``joint-calc`` of an n x n pair at ``--grid-res`` r with ``n^2 r^3`` above
 ``32^2 48^3``, a ``slice-check`` circle that rounds away at a sample point,
-or a usage error such as an unknown command or option, a non-finite
-``--tol`` or ``--margin``, or a ``--grid-res`` above 256)
+or a usage error such as an unknown command or option, a negative or
+non-finite ``--tol``, a non-finite ``--margin`` or one that is not positive
+where a contour or sphere uses it, or a ``--grid-res`` above 256)
 or output error (an ``--output`` path that cannot be written), 2 domain/
 geometry/contract error or a non-finite result (including a non-finite
 ``slice-check`` value, or a pair whose products overflow), 3
@@ -98,7 +99,7 @@ _MAX_DERIV_ORDER = 170
 _MAX_GRID_RES = 256
 
 #: Largest ``slice-check`` ``grid.points`` and ``grid.directions``; an ``exp``
-#: stem on 10,000 points takes about 0.3 s per process (2 vCPUs).
+#: stem on 10,000 points takes about 0.23 s per process (2 vCPUs).
 _MAX_SLICE_POINTS = 10_000
 
 #: Largest side of an ``op-spectrum`` or ``op-calc`` matrix.
@@ -469,13 +470,21 @@ _HANDLERS = {
 
 
 def _finite_float(text):
-    """Option type for thresholds and margins: a finite float."""
+    """Option type for margins: a finite float."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text):
+    """Option type for ``--tol``: a finite float that is not negative."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
     return value
 
 
@@ -500,7 +509,7 @@ def build_parser():
     parser.add_argument("command", choices=list(_HANDLERS))
     parser.add_argument("--input", help="input JSON document (default: stdin)")
     parser.add_argument("--output", help="output path (default: stdout)")
-    parser.add_argument("--tol", type=_finite_float, default=1e-10, help="tolerance / check threshold")
+    parser.add_argument("--tol", type=_tolerance, default=1e-10, help="tolerance / check threshold")
     parser.add_argument("--grid-res", type=_grid_res, default=48,
                         help=f"sphere grid resolution per angle (at most {_MAX_GRID_RES})")
     parser.add_argument("--margin", type=_finite_float, default=0.25, help="contour/sphere clearance margin")

@@ -60,16 +60,6 @@ class AnalyticScalar:
         """Whether ``f(conj z) == conj(f(z))`` holds structurally."""
         raise NotImplementedError
 
-    def __add__(self, other):
-        if isinstance(other, AnalyticScalar):
-            return Sum(self, other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, AnalyticScalar):
-            return Product(self, other)
-        return NotImplemented
-
 
 def _horner_jet(coeffs, z, k, absolute):
     """Derivatives 0..k at ``z`` of ``sum coeffs[n] z^n`` by Horner's rule on
@@ -440,7 +430,8 @@ class StemReport:
 
 
 def conjugate_sample_pairs(domain=None):
-    """Deterministic conjugate-closed sample set on two circles per disk.
+    """Deterministic conjugate-closed sample set on two circles per disk, one
+    array in which each sample is followed by its conjugate.
 
     With no domain, circles of radius 0.5 and 1.5 about the origin are used.
     """
@@ -452,13 +443,9 @@ def conjugate_sample_pairs(domain=None):
             bases.append((c, 0.35 * r))
             bases.append((c, 0.7 * r))
     per_circle = max(1, _SAMPLE_PAIRS // len(bases))
-    samples = []
-    for c, r in bases:
-        ang = 2.0 * np.pi * (np.arange(per_circle) + 0.31) / per_circle
-        for z in c + r * np.exp(1j * ang):
-            samples.append(complex(z))
-            samples.append(complex(z).conjugate())
-    return samples
+    unit = np.exp(1j * (2.0 * np.pi * (np.arange(per_circle) + 0.31) / per_circle))
+    z = np.concatenate([c + r * unit for c, r in bases])
+    return np.column_stack([z, z.conj()]).ravel()
 
 
 def verify_stem(F, samples=None, tol=1e-10):
@@ -467,17 +454,13 @@ def verify_stem(F, samples=None, tol=1e-10):
     Returns a StemReport with the worst sample as witness.  The sample set
     must be non-empty and is expected to be conjugate-closed.
     """
-    if samples is None:
-        samples = conjugate_sample_pairs(F.domain)
-    samples = [complex(z) for z in samples]
-    if not samples:
+    z = conjugate_sample_pairs(F.domain) if samples is None else np.asarray(samples, dtype=complex)
+    if not z.size:
         raise InvalidArgumentError("empty sample set")
-    z = np.asarray(samples, dtype=complex)
-    defect_mats = F(z.conjugate()) - skew_conjugate(F(z))
-    defects = _norm_2x2(defect_mats)
+    defects = _norm_2x2(F(z.conjugate()) - skew_conjugate(F(z)))
     worst = int(np.argmax(defects))
     max_defect = float(defects[worst])
-    return StemReport(max_defect <= tol, max_defect, samples[worst])
+    return StemReport(max_defect <= tol, max_defect, complex(z[worst]))
 
 
 def stem_split(F):

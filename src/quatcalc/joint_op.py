@@ -291,8 +291,11 @@ def enclosing_sphere_grid(pair, resolution=48, margin=1.0):
     """Sphere grid enclosing the joint spectral set with the given margin.
 
     The singular set of the joint pencil is a union of 2-spheres, one per
-    joint eigenvalue; the returned sphere covers all of them.
+    joint eigenvalue; the returned sphere covers all of them.  A margin
+    that is not positive raises InvalidArgumentError.
     """
+    if not margin > 0.0:
+        raise InvalidArgumentError("margin must be positive")
     points = joint_spectrum_points(pair)
     c1 = (min(p[0].real for p in points) + max(p[0].real for p in points)) / 2.0
     c2 = (min(p[1].real for p in points) + max(p[1].real for p in points)) / 2.0

@@ -7,9 +7,10 @@ Values produced by the spectral or contour calculus of stem functions pass
 this check; the reverse construction fits a polynomial on one slice and
 rebuilds the stem.
 
-The maps ``G`` under test act on stacks: they take quaternion matrix views
-of shape (..., 2, 2) and return values of the same shape.  A check
-evaluates ``G`` once on the circle nodes of its whole sample grid.
+The maps ``G`` under test, and the one ``extend_from_slice`` samples, act
+on stacks: they take quaternion matrix views of shape (..., 2, 2) and return
+values of the same shape.  A check or a reconstruction calls ``G`` once, on
+all its nodes; sample grids keep their points in arrays.
 ``eval_spectral`` takes stacks as they are, so ``functools.partial(
 eval_spectral, F)`` is the spectral calculus of ``F`` in this form;
 ``quaternionwise`` lifts a map on single quaternions to it.  A non-finite
@@ -26,14 +27,13 @@ from numpy.polynomial import polynomial as npoly
 from .errors import InvalidArgumentError, NumericError
 from .func_model import QuaternionPolynomial
 from .quat_core import (
-    I,
-    J,
+    H_MEMBERSHIP_REL_TOL,
     L,
     Quaternion,
     _norm_2x2,
     as_quaternion,
     axial_decompose,
-    random_unit_imaginary,
+    skew_conjugate,
     spectrum,
 )
 
@@ -43,16 +43,6 @@ _IDENT2 = np.eye(2, dtype=complex)
 #: roundoff on the ``exp``, ``sin`` and ``exp(2z) sin(z)`` stems over the
 #: disk of radius 2.
 _NODES, _RADIUS = 16, 0.25
-
-
-def _as_matrix(value):
-    if isinstance(value, Quaternion):
-        return value.matrix()
-    return np.asarray(value, dtype=complex)
-
-
-def _slice_point(x, y, s):
-    return I * float(x) + s * float(y)
 
 
 def _check_directions(mats, message):
@@ -65,7 +55,8 @@ def quaternionwise(g):
 
     def G(Q):
         Q = np.asarray(Q, dtype=complex)
-        values = [_as_matrix(g(Quaternion(m[0, 0], m[0, 1]))) for m in Q.reshape(-1, 2, 2)]
+        values = [g(Quaternion(*m[0])) for m in Q.reshape(-1, 2, 2)]
+        values = [v.matrix() if isinstance(v, Quaternion) else v for v in values]
         return np.asarray(values, dtype=complex).reshape(Q.shape)
 
     return G
@@ -118,33 +109,32 @@ def _circle_rule(G, x, y, S, radius):
     return out
 
 
-@dataclass
 class SliceSampleGrid:
-    """Evaluation points ``(x, y, s)`` and the ``radius`` of their circles
-    (0.25 unless ``random`` fits it to a domain).
-
-    ``x``, ``y`` and ``direction_matrices`` (the matrix view of each point's
-    ``s``) are the points as arrays.
+    """Evaluation points ``x*I + y*s`` and the ``radius`` of their circles
+    (0.25 unless ``random`` fits it to a domain), as arrays ``x``, ``y`` and
+    ``direction_matrices`` (the matrix view of each ``s``).  The constructor
+    takes ``(x, y, s)`` tuples and checks every direction.
     """
 
-    points: list
-    radius: float = field(init=False, default=_RADIUS)
-    x: np.ndarray = field(init=False, repr=False, compare=False)
-    y: np.ndarray = field(init=False, repr=False, compare=False)
-    direction_matrices: np.ndarray = field(init=False, repr=False, compare=False)
+    radius = _RADIUS
 
-    def __post_init__(self):
-        self.points = list(self.points)
-        index = {}
-        for _, _, s in self.points:
-            index.setdefault(s, len(index))
-        mats = np.array([s.matrix() for s in index], dtype=complex).reshape(-1, 2, 2)
+    def __init__(self, points):
+        points = list(points)
+        xy = np.array([(x, y) for x, y, _ in points], dtype=float).reshape(-1, 2)
+        mats = np.array([s.matrix() for _, _, s in points], dtype=complex).reshape(-1, 2, 2)
         _check_directions(mats, "grid direction must square to -I")
-        xy = np.array([(x, y) for x, y, _ in self.points], dtype=float).reshape(-1, 2)
-        if not np.all(np.isfinite(xy)):
+        self._store(xy[:, 0], xy[:, 1], mats)
+
+    def _store(self, x, y, direction_matrices):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InvalidArgumentError("non-finite grid coordinate")
-        self.x, self.y = xy[:, 0], xy[:, 1]
-        self.direction_matrices = mats[np.array([index[s] for _, _, s in self.points], dtype=int)]
+        self.x, self.y, self.direction_matrices = x, y, direction_matrices
+
+    @property
+    def points(self):
+        """The points as ``(x, y, s)`` tuples, with ``s`` a Quaternion."""
+        directions = (Quaternion(*m[0]) for m in self.direction_matrices)
+        return list(zip(self.x.tolist(), self.y.tolist(), directions))
 
     @classmethod
     def random(cls, domain, n_points, n_directions, seed=0):
@@ -152,12 +142,21 @@ class SliceSampleGrid:
 
         Each point lies within ``0.8 R`` of its disk's center, and the circle
         radius is ``min(0.25, R_min / 8)`` for the smallest disk radius, so
-        every circle stays inside its own disk.  Points are drawn in bulk.
+        every circle stays inside its own disk.  Point ``k`` takes direction
+        ``k mod n_directions``; the directions, and on one disk the points, are
+        those of one-at-a-time draws (``quat_core.random_unit_imaginary``).
         """
         if n_points < 1 or n_directions < 1:
             raise InvalidArgumentError("need at least one point and one direction")
         rng = np.random.default_rng(seed)
-        directions = [random_unit_imaginary(rng) for _ in range(n_directions)]
+        v = rng.standard_normal((n_directions, 3))
+        # np.linalg.norm's rounding on one vector (a BLAS dot); its axis=1 form differs
+        v /= np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+        # the coordinates of s = (0, v0, v1, v2), with make_quaternion's +0.0
+        # real part (1j * v0 gives -0.0), and their matrix views
+        z1, z2 = np.column_stack([np.zeros(n_directions), v]).view(complex).T
+        mats = np.array([[z1, z2], [-z2.conj(), z1.conj()]]).transpose(2, 0, 1)
+        _check_directions(mats, "grid direction must square to -I")
         centers = np.array([c for c, _ in domain.disks])
         radii = np.array([r for _, r in domain.disks])
         # a single disk draws no index, so its points are the ones a
@@ -165,12 +164,8 @@ class SliceSampleGrid:
         k = rng.integers(len(radii), size=n_points)
         u = rng.uniform(size=(n_points, 2))
         z = centers[k] + ((0.8 * radii[k]) * np.sqrt(u[:, 0])) * np.exp(2j * np.pi * u[:, 1])
-        points = zip(
-            z.real.tolist(),
-            z.imag.tolist(),
-            (directions[k % n_directions] for k in range(n_points)),
-        )
-        grid = cls(list(points))
+        grid = cls.__new__(cls)
+        grid._store(z.real, z.imag, mats[np.arange(n_points) % n_directions])
         grid.radius = min(_RADIUS, float(radii.min()) / 8.0)
         return grid
 
@@ -190,12 +185,14 @@ def slice_regularity_report(G, grid, tol=1e-5):
     value (in closed form, ``quat_core._norm_2x2``), an absolute measure,
     and the first maximum is the worst point.
     """
-    if not grid.points:
+    if not grid.x.size:
         raise InvalidArgumentError("empty sample grid")
     defects = _norm_2x2(_circle_rule(G, grid.x, grid.y, grid.direction_matrices, grid.radius))
     worst = int(np.argmax(defects))
     max_defect = float(defects[worst])
-    return SliceReport(max_defect, max_defect <= tol, grid.points[worst])
+    s = Quaternion(*grid.direction_matrices[worst, 0])
+    point = (float(grid.x[worst]), float(grid.y[worst]), s)
+    return SliceReport(max_defect, max_defect <= tol, point)
 
 
 def split_slice(f):
@@ -253,28 +250,29 @@ def _fft_poly_fit(values, center, radius, degree):
     return out
 
 
-def extend_from_slice(f, center=0.0, radius=1.0, degree=16):
+def extend_from_slice(G, center=0.0, radius=1.0, degree=16):
     """Rebuild a stem polynomial from samples of a slice-regular map on the J-slice.
 
-    Samples ``f`` at ``x*I + y*J`` points on a circle of the given (real)
-    center and radius, splits off the two J-slice components, fits complex
-    polynomials of the given degree by FFT interpolation, and reassembles
-    the quaternion-coefficient polynomial whose extension restricts to ``f``.
+    Calls the stack map ``G`` once, at ``4 (degree + 1)`` points ``x*I + y*J``
+    on a circle of the given (real) center and radius, requires quaternion
+    values (to ``as_quaternion``'s tolerance), fits complex polynomials of the
+    given degree to their J-slice parts ``g, h`` (as in ``split_slice``) by FFT
+    interpolation, and reassembles the quaternion-coefficient polynomial
+    whose extension restricts to the map.
     """
     center = float(center)
-    g, h = split_slice(f)
     n = 4 * (degree + 1)
     zs = center + radius * np.exp(2j * np.pi * np.arange(n) / n)
-    g_vals = []
-    h_vals = []
-    for z in zs:
-        q = _slice_point(z.real, z.imag, J)
-        g_vals.append(g(q).z1)
-        h_vals.append(h(q).z1)
-    g_coeffs = _fft_poly_fit(g_vals, center, radius, degree)
-    h_coeffs = _fft_poly_fit(h_vals, center, radius, degree)
-    quat_coeffs = [
-        Quaternion(gc, 0.0) + L * Quaternion(hc, 0.0)
-        for gc, hc in zip(g_coeffs, h_coeffs)
-    ]
-    return QuaternionPolynomial(quat_coeffs)
+    nodes = np.zeros((n, 2, 2), dtype=complex)
+    nodes[:, 0, 0], nodes[:, 1, 1] = zs, zs.conj()
+    values = np.asarray(G(nodes), dtype=complex)
+    sk = skew_conjugate(values)
+    tol = H_MEMBERSHIP_REL_TOL * np.maximum(1.0, np.linalg.norm(values, axis=(-2, -1)))
+    if np.any(np.linalg.norm(0.5 * (values - sk), axis=(-2, -1)) > tol):
+        raise InvalidArgumentError("slice value is not a quaternion within tolerance")
+    # the projection's first row (z1, z2) = (x0 + i x1, x2 + i x3): g = z1, h = x3 + i x2
+    z1, z2 = (0.5 * (values + sk))[:, 0].T
+    g_coeffs = _fft_poly_fit(z1, center, radius, degree)
+    h_coeffs = _fft_poly_fit(z2.imag + 1j * z2.real, center, radius, degree)
+    coeffs = zip(g_coeffs, h_coeffs)
+    return QuaternionPolynomial(Quaternion(g, 0.0) + L * Quaternion(h, 0.0) for g, h in coeffs)

@@ -414,6 +414,7 @@ STEM_EXP = {"function": {"kind": "scalar", "f": {"kind": "exp"}}}
         ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--tol", "nan"),
         ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--margin", "inf"),
         ("deriv", dict(STEM_EXP, quaternion=[0, 1, 0, 0]), "--margin", "nan"),
+        ("stem-check", STEM_EXP, "--tol", "abc"),
     ],
 )
 def test_non_finite_option_exits_1(capsys, command, doc, flag, value):
@@ -983,6 +984,34 @@ FUZZ_VALUES = [None, True, "x", [], {}, [1], 0, -1, 2.5, 1e308, 10**400]
 @pytest.mark.parametrize("command, doc, flags", FUZZ_SEEDS)
 def test_fuzz_seed_is_a_valid_job(capsys, command, doc, flags):
     assert run_cli(capsys, command, doc, *flags)[0] == 0
+
+
+@pytest.mark.parametrize("command, doc, flags", FUZZ_SEEDS)
+def test_negative_tol_exits_1_for_every_command(capsys, command, doc, flags):
+    # no check can pass below zero: the option is refused before any work
+    code, out, err = run_cli_err(capsys, command, doc, *flags, "--tol", "-1")
+    _assert_error_exit(code, out, err, 1)
+    assert err == "parse error: argument --tol: expected a non-negative number, got '-1'\n"
+
+
+@pytest.mark.parametrize("margin", ["0", "-1"])
+def test_non_positive_sphere_margin_exits_1(capsys, margin):
+    # the spectral sphere of (10, 0) reaches 10: no sphere of radius 10 + margin
+    # encloses it, so the margin itself is refused
+    doc = dict(JOINT_DOC, matrix1=[[10.0, 0.0], [0.0, -10.0]], matrix2=[[0.0, 0.0], [0.0, 0.0]])
+    code, out, err = run_cli_err(capsys, "joint-calc", doc, "--margin", margin)
+    _assert_error_exit(code, out, err, 1)
+    assert err == "parse error: margin must be positive\n"
+
+
+@pytest.mark.parametrize("command, doc, reason", [
+    ("eval", dict(STEM_EXP, quaternion=[0, 1, 0, 0], method="series"), "unknown method 'series'"),
+    ("spectrum", [{"quaternion": [0, 1, 0, 0]}], "top-level document must be an object"),
+])
+def test_malformed_document_exits_1_with_its_reason(capsys, command, doc, reason):
+    code, out, err = run_cli_err(capsys, command, doc)
+    _assert_error_exit(code, out, err, 1)
+    assert err == f"parse error: {reason}\n"
 
 
 def _paths(node, path=()):

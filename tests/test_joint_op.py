@@ -301,6 +301,13 @@ def test_two_admissible_spheres_agree(rng):
     assert np.linalg.norm(a - b) <= 2e-6 * max(1.0, np.linalg.norm(a))
 
 
+def test_non_positive_sphere_margin_rejected(rng):
+    pair, _ = random_commuting_pair(rng, 2)
+    for margin in (0.0, -1.0, float("nan")):
+        with pytest.raises(qc.InvalidArgumentError, match="margin must be positive"):
+            qc.enclosing_sphere_grid(pair, margin=margin)
+
+
 def test_array_pencils_and_margins_match_scalar_calls(rng):
     pair, _ = random_commuting_pair(rng, 3)
     z1 = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))

@@ -1,6 +1,7 @@
 """Property tests of the quaternion algebra over finite bounded components,
-of the operator calculus on real polynomials and on quaternionic-linear
-operators, and of the contour route against the closed spectral form."""
+of the operator calculus on real polynomials, on quaternionic-linear
+operators and on left multiplications, and of the contour route against the
+closed spectral form."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -138,3 +139,24 @@ def test_quaternionic_linear_operators_keep_their_symmetry(A):
         R = np.kron(np.eye(n), right_mult_matrix(b))
         assert np.linalg.norm(value @ R - R @ value) <= 1e-10 * np.linalg.norm(value)
     assert all(m % 2 == 0 for _, m in qc.complex_spectrum(T).pairs)
+
+
+closed_scalars = st.sampled_from([
+    qc.Exp(), qc.Sin(), qc.Cos(), qc.Polynomial([0.5, -1.0, 0.25, 1.0]),
+    qc.Product(qc.Exp(), qc.Sin()), qc.AffineArg(0.7, -0.2, qc.Exp()),
+])
+
+
+@settings(max_examples=54)
+@given(closed_scalars, st.sampled_from([0.3, 1.0, 3.0]),
+       st.lists(unit_quaternions, min_size=1, max_size=3))
+def test_operator_calculus_of_left_multiplications_is_the_stem_calculus(f, scale, qs):
+    # the projection property of the calculus: f(diag(L_q1, ..., L_qm)) is
+    # diag(L_f(q1), ..., L_f(qm)), with f(q) the spectral calculus of the stem f I
+    qs = [q * scale for q in qs]
+    got, _, _ = qc.op_calculus(qc.MatrixCoefficientFunction.from_scalar(f, 4 * len(qs)),
+                               qc.discrete_mult_op(qs))
+    want = qc.discrete_mult_op(
+        [qc.as_quaternion(qc.eval_spectral(qc.ScalarStem(f), q)) for q in qs]
+    )
+    assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))

@@ -387,11 +387,7 @@ def test_circularization_criteria_agree_near_the_real_axis():
 
 def test_extend_from_slice_recovers_polynomial(rng):
     F = random_hpoly(rng, 5, scale=0.6)
-
-    def f(q):
-        return qc.as_quaternion(qc.eval_spectral(F, q))
-
-    rebuilt = qc.extend_from_slice(f, center=0.0, radius=1.0, degree=16)
+    rebuilt = qc.extend_from_slice(partial(qc.eval_spectral, F), center=0.0, radius=1.0, degree=16)
     for _ in range(30):
         q = random_quaternion(rng)
         a = qc.eval_spectral(F, q)
@@ -401,16 +397,24 @@ def test_extend_from_slice_recovers_polynomial(rng):
 
 def test_extend_from_slice_matches_exp_on_disk(rng):
     F = qc.ScalarStem(qc.Exp())
-
-    def f(q):
-        return qc.as_quaternion(qc.eval_spectral(F, q))
-
-    rebuilt = qc.extend_from_slice(f, center=0.0, radius=1.0, degree=16)
+    rebuilt = qc.extend_from_slice(partial(qc.eval_spectral, F), center=0.0, radius=1.0, degree=16)
     for _ in range(20):
         q = random_quaternion(rng, 0.3)
         a = qc.eval_spectral(F, q)
         b = qc.eval_spectral(rebuilt, q)
         assert np.linalg.norm(a - b) <= 1e-8
+
+
+def test_extend_from_slice_calls_its_map_once_and_requires_quaternions():
+    calls = []
+
+    def G(Q):
+        calls.append(Q.shape)
+        return 1j * Q  # i q is not a quaternion unless q = 0
+
+    with pytest.raises(qc.InvalidArgumentError, match="not a quaternion"):
+        qc.extend_from_slice(G, degree=16)
+    assert calls == [(68, 2, 2)]
 
 
 def test_empty_grid_rejected():
